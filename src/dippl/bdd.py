@@ -101,12 +101,19 @@ class WeightFn:
 
     def merged(self, other: "WeightFn") -> "WeightFn":
         """Union of two weight functions; overlapping entries must agree."""
+        if not other._entries:
+            return self
+        if not self._entries:
+            return other
         entries = dict(self._entries)
         for var, w in other._entries.items():
-            if var in entries and entries[var] != w:
+            if entries.setdefault(var, w) != w:
                 raise ValueError(f"conflicting weights for variable {var}")
-            entries[var] = w
-        return WeightFn(entries)
+        # both sides are already coerced, so skip __init__'s checks: a
+        # compile merges once per statement
+        result = WeightFn.__new__(WeightFn)
+        result._entries = entries
+        return result
 
 
 class Bdd:
@@ -516,13 +523,15 @@ class NodeStore:
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._support(self._own(a)))
 
-    def _support(self, root: int) -> set[int]:
+    def _support(self, root: int, bound: int = _TERMINAL_VAR) -> set[int]:
+        """Support variables up to ``bound``: the walk does not descend
+        below a node whose variable exceeds it."""
         seen: set[int] = set()
         vars: set[int] = set()
         stack = [root]
         while stack:
             u = stack.pop()
-            if u <= 1 or u in seen:
+            if u <= 1 or u in seen or self._var[u] > bound:
                 continue
             seen.add(u)
             vars.add(self._var[u])
@@ -541,7 +550,13 @@ class NodeStore:
         for var, target in mapping.items():
             self._check_var(var)
             self._check_var(target)
-        support = sorted(self._support(root))
+        if not mapping:
+            return a
+        # variables above the bound map to themselves and every ancestor
+        # of a node has a smaller variable, so the order can only break
+        # on the support at or below the bound
+        bound = max(max(mapping), max(mapping.values()))
+        support = sorted(self._support(root, bound))
         images = [mapping.get(var, var) for var in support]
         for prev, cur in zip(images, images[1:]):
             if prev >= cur:

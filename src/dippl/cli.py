@@ -22,6 +22,7 @@ without a determinism knob.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -63,6 +64,14 @@ def _read_program(path: str) -> Program:
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     return parse(source)
+
+
+def _open_output(path: str, newline: Optional[str] = None):
+    """Open ``path`` for writing; a path that cannot be written is bad usage."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_init(text: Optional[str], program: Program) -> State:
@@ -155,20 +164,22 @@ def cmd_oracle(args) -> int:
 
 def cmd_compile(args) -> int:
     program = _read_program(args.file)
-    compiled = compile_program(program)
-    store = compiled.store
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(store.to_dot(compiled.phi))
-    if args.stats:
-        stats = {
-            "nodeCount": compiled.stats.node_count,
-            "varOrder": [store.var_name(v) for v in range(store.num_vars)],
-            "compileMs": round(compiled.stats.compile_ms, 3),
-        }
-        with open(args.stats, "w", encoding="utf-8") as handle:
-            json.dump(stats, handle, indent=2)
-            handle.write("\n")
+    # open the outputs first, so a bad path fails before the compile
+    with contextlib.ExitStack() as outputs:
+        dot = outputs.enter_context(_open_output(args.dot)) if args.dot else None
+        stats_out = outputs.enter_context(_open_output(args.stats)) if args.stats else None
+        compiled = compile_program(program)
+        store = compiled.store
+        if dot is not None:
+            dot.write(store.to_dot(compiled.phi))
+        if stats_out is not None:
+            stats = {
+                "nodeCount": compiled.stats.node_count,
+                "varOrder": [store.var_name(v) for v in range(store.num_vars)],
+                "compileMs": round(compiled.stats.compile_ms, 3),
+            }
+            json.dump(stats, stats_out, indent=2)
+            stats_out.write("\n")
     report = {
         "program": args.file,
         "node_count": compiled.stats.node_count,
@@ -238,11 +249,7 @@ def cmd_bench(args) -> int:
         for size in sizes
         for det in dets
     ]
-    try:
-        handle = open(args.out, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {args.out}: {exc}") from exc
-    with handle:
+    with _open_output(args.out, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
         for spec, det in specs:

@@ -7,20 +7,44 @@ to ``(theta, 1 - theta)`` and every state variable to ``(1, 1)``.
 ``phi`` relates input to output states; probability queries against it
 are ratios of weighted model counts (see ``dippl.infer``).
 
-Compilation rules, writing ``gamma(S)`` for the frame formula
-``AND_{x in S} (x <=> x')``, ``V`` for all program variables, and ``e``
-for the input-bank compilation of an expression:
+Each statement compiles frame-free to a pair ``(rel, mod)``: ``mod`` is
+the set of variables the statement may write, and ``rel`` mentions only
+unprimed variables, primed variables of ``mod`` and flip variables.
+Identity on the variables outside ``mod`` is implied and never built.
+Writing ``gamma(S)`` for the frame formula ``AND_{x in S} (x <=> x')``
+and ``e`` for the input-bank compilation of an expression:
 
-* ``skip``              -> ``gamma(V)``
-* ``x ~ flip(theta)``   -> ``(x' <=> f) & gamma(V - {x})``, fresh ``f``
-  weighted ``(theta, 1 - theta)``
-* ``x := e``            -> ``(x' <=> e) & gamma(V - {x})``
-* ``observe(e)``        -> ``e & gamma(V)``
-* ``if e {s1} else {s2}`` -> ``(e & phi1) | (!e & phi2)``
-* ``s1; s2``            -> rebase ``phi2`` onto a transient double-primed
-  output bank, conjoin with ``phi1``, existentially quantify the shared
-  (primed) intermediate state, and pull the result back to the primed
-  bank.
+* ``skip``              -> ``true``, mod {}
+* ``x ~ flip(theta)``   -> ``x' <=> f``, mod {x}, fresh ``f`` weighted
+  ``(theta, 1 - theta)``
+* ``x := e``            -> ``x' <=> e`` (a literal for a constant), mod {x}
+* ``observe(e)``        -> ``e``, mod {}
+* ``if e {s1} else {s2}`` -> ``ite(e, rel1 & gamma(M - M1),
+  rel2 & gamma(M - M2))``, mod ``M = M1 | M2``
+* ``s1; s2``            -> with ``Q = M1 & M2``: rename ``rel2``'s
+  unprimed variables of ``M1`` to primed and its primed variables of
+  ``Q`` to double-primed, conjoin with ``rel1`` while quantifying the
+  primed ``Q`` (one ``and_exists``), then rename the double-primed ``Q``
+  back to primed; mod ``M1 | M2``.
+
+The relation ``phi`` of a whole statement is ``rel & gamma(V - mod)``,
+``V`` all program variables.  It is the relation of the frame-carrying
+rules, in which every atom carries its own ``gamma(V - {x})``, but no
+sequencing step handles a relation wider than the variables its two
+sides touch.
+
+Composition is associative, so a sequence's statements may be grouped
+in any way; the grouping sets the cost.  Composing ``s1; s2`` rebuilds
+the part of ``rel1`` above ``rel2``'s variables and shares the rest of
+``rel2``.  A left fold rebuilds the whole prefix at every step, which is
+quadratic on chains.  A right fold rebuilds one statement per step,
+which is linear on chains, but it builds every suffix for all values of
+the variables it reads, also for values the statements before it can
+never produce, so determinism stops making compilation cheaper (4-grid,
+seed 11, determinism 0 / 0.5 / 0.9: 839 / 927 / 761 store nodes).
+Sequences are therefore composed pairwise, level by level, as a balanced
+tree: O(n log n) store nodes on a chain of n statements, and 897 / 672 /
+336 on those grids.
 
 The double-primed bank exists only inside sequence composition and never
 appears in a finished formula or in the WMC universe.
@@ -38,7 +62,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .bdd import Bdd, NodeStore, WeightFn
@@ -61,8 +84,6 @@ from .lang import (
     flips_of,
 )
 from .oracle import State
-
-SEQ_STRATEGIES = ("fused", "naive")
 
 
 def _seq_spine(s: Stmt) -> list[Stmt]:
@@ -98,26 +119,13 @@ class VarBanks:
         """Flip variable ids in flip-label order."""
         return tuple(self.flip_var[label] for label in sorted(self.flip_var))
 
-    def seq_shift(self) -> dict[int, int]:
-        """unprimed -> primed, primed -> double-primed (for the rhs of a Seq)."""
-        shift = {self.unprimed[x]: self.primed[x] for x in self.unprimed}
-        shift.update({self.primed[x]: self.double_primed[x] for x in self.primed})
-        return shift
-
-    def seq_unshift(self) -> dict[int, int]:
-        """double-primed -> primed (after the intermediate state is gone)."""
-        return {self.double_primed[x]: self.primed[x] for x in self.double_primed}
-
-    def primed_set(self) -> frozenset[int]:
-        return frozenset(self.primed.values())
-
 
 def allocate_banks(program: Program, *, op_cache: bool = True) -> tuple[NodeStore, VarBanks]:
     """Create a store whose global order interleaves flips with their targets."""
-    flips = sorted(flips_of(program.body), key=lambda f: f.label)
-    first_flip_label: dict[str, int] = {}
-    for flip in flips:
-        first_flip_label.setdefault(flip.target, flip.label)
+    # flips grouped by target; groups in order of their first flip label
+    flips_by_target: dict[str, list[Flip]] = {}
+    for flip in sorted(flips_of(program.body), key=lambda f: f.label):
+        flips_by_target.setdefault(flip.target, []).append(flip)
 
     store = NodeStore(op_cache=op_cache)
     unprimed: dict[str, int] = {}
@@ -131,12 +139,11 @@ def allocate_banks(program: Program, *, op_cache: bool = True) -> tuple[NodeStor
         double_primed[name] = store.add_var(name + "''")
 
     for name in program.vars:
-        if name not in first_flip_label:
+        if name not in flips_by_target:
             add_triple(name)
-    for name in sorted(first_flip_label, key=first_flip_label.get):
-        for flip in flips:
-            if flip.target == name:
-                flip_var[flip.label] = store.add_var(f"f{flip.label}")
+    for name, group in flips_by_target.items():
+        for flip in group:
+            flip_var[flip.label] = store.add_var(f"f{flip.label}")
         add_triple(name)
 
     universe = frozenset(unprimed.values()) | frozenset(primed.values()) | frozenset(
@@ -192,102 +199,96 @@ def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> 
     return store.cube(literals)
 
 
-def compile_stmt(
-    stmt: Stmt,
-    banks: VarBanks,
-    store: NodeStore,
-    *,
-    seq_strategy: str = "fused",
-) -> tuple[Bdd, WeightFn]:
+_NO_WEIGHTS = WeightFn()
+
+
+def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> tuple[Bdd, WeightFn]:
     """Compile one statement; returns the relation BDD and its weights.
 
-    ``seq_strategy`` selects how sequences eliminate the intermediate
-    state: ``"naive"`` conjoins the halves fully and then quantifies all
-    primed variables in one pass; ``"fused"`` (default) interleaves the
-    quantification with the conjunction.  Both produce identical BDDs.
+    The relation is the frame-free ``rel`` of ``stmt`` conjoined once
+    with ``gamma`` over the variables ``stmt`` does not write.
     """
-    if seq_strategy not in SEQ_STRATEGIES:
-        raise ValueError(f"seq_strategy must be one of {SEQ_STRATEGIES}")
-    shift = banks.seq_shift()
-    unshift = banks.seq_unshift()
-    primed = banks.primed_set()
-    frame_pairs = {banks.unprimed[x]: banks.primed[x] for x in banks.unprimed}
 
-    def frame_without(name: str) -> dict[int, int]:
-        pairs = dict(frame_pairs)
-        del pairs[banks.unprimed[name]]
-        return pairs
+    def frame(names) -> Bdd:
+        return store.iff_cube({banks.unprimed[x]: banks.primed[x] for x in names})
 
-    def merge(
-        w1: dict[int, tuple[Fraction, Fraction]],
-        w2: dict[int, tuple[Fraction, Fraction]],
-    ) -> dict[int, tuple[Fraction, Fraction]]:
-        for var, w in w2.items():
-            if var in w1 and w1[var] != w:
-                raise ValueError(f"conflicting weights for flip variable {var}")
-        w1.update(w2)
-        return w1
-
-    def rec(s: Stmt) -> tuple[Bdd, dict[int, tuple[Fraction, Fraction]]]:
+    def rec(s: Stmt) -> tuple[Bdd, frozenset[str], WeightFn]:
         if isinstance(s, Skip):
-            return store.iff_cube(frame_pairs), {}
+            return store.true, frozenset(), _NO_WEIGHTS
         if isinstance(s, Flip):
-            # (x' <=> f) joins the frame pairs: f sits just before x's
-            # triple, so the whole formula is still one iff_cube
             f = banks.flip_var[s.label]
-            pairs = frame_without(s.target)
-            pairs[f] = banks.primed[s.target]
-            return store.iff_cube(pairs), {f: (s.theta, 1 - s.theta)}
+            return (
+                store.iff_cube({f: banks.primed[s.target]}),
+                frozenset((s.target,)),
+                WeightFn({f: (s.theta, 1 - s.theta)}),
+            )
         if isinstance(s, Assign):
             target = banks.primed[s.target]
             if isinstance(s.rhs, Const):
-                phi = store.iff_cube(
-                    frame_without(s.target), {target: s.rhs.value}
-                )
+                rel = store.cube({target: s.rhs.value})
             else:
-                phi = store.apply(
-                    "iff", store.var(target), compile_expr(s.rhs, banks, store)
-                ) & store.iff_cube(frame_without(s.target))
-            return phi, {}
+                rel = store.apply("iff", store.var(target), compile_expr(s.rhs, banks, store))
+            return rel, frozenset((s.target,)), _NO_WEIGHTS
         if isinstance(s, Observe):
-            return (
-                compile_expr(s.cond, banks, store) & store.iff_cube(frame_pairs),
-                {},
-            )
+            return compile_expr(s.cond, banks, store), frozenset(), _NO_WEIGHTS
         if isinstance(s, If):
             cond = compile_expr(s.cond, banks, store)
-            phi1, w1 = rec(s.then_branch)
-            phi2, w2 = rec(s.else_branch)
-            return store.ite(cond, phi1, phi2), merge(w1, w2)
+            rel1, mod1, w1 = rec(s.then_branch)
+            rel2, mod2, w2 = rec(s.else_branch)
+            mod = mod1 | mod2
+            # each branch leaves the variables only the other one writes
+            # unchanged
+            if mod - mod1:
+                rel1 = rel1 & frame(mod - mod1)
+            if mod - mod2:
+                rel2 = rel2 & frame(mod - mod2)
+            return store.ite(cond, rel1, rel2), mod, w1.merged(w2)
         if isinstance(s, Seq):
-            if seq_strategy == "fused":
-                # composition is associative, so fold the whole sequence
-                # spine left-to-right: each step then renames only the
-                # small right-hand relation, not an accumulated one
-                atoms = _seq_spine(s)
-                phi, weights = rec(atoms[0])
-                for atom in atoms[1:]:
-                    phi2, w2 = rec(atom)
-                    phi = store.rename(
-                        unshift,
-                        store.and_exists(phi, store.rename(shift, phi2), primed),
-                    )
-                    weights = merge(weights, w2)
-                return phi, weights
-            phi1, w1 = rec(s.first)
-            phi2, w2 = rec(s.second)
-            joined = store.exists(primed, phi1 & store.rename(shift, phi2))
-            return store.rename(unshift, joined), merge(w1, w2)
+            # composition is associative; compose neighbours pairwise,
+            # level by level (see the module docstring for why)
+            parts = [rec(atom) for atom in _seq_spine(s)]
+            while len(parts) > 1:
+                paired = [
+                    _compose(parts[j], parts[j + 1], banks, store)
+                    for j in range(0, len(parts) - 1, 2)
+                ]
+                paired.extend(parts[2 * len(paired):])
+                parts = paired
+            return parts[0]
         raise TypeError(f"not a statement: {s!r}")
 
-    phi, weights = rec(stmt)
-    return phi, WeightFn(weights)
+    rel, mod, weights = rec(stmt)
+    return rel & gamma(banks, store, exclude=mod), weights
+
+
+def _compose(
+    first: tuple[Bdd, frozenset[str], WeightFn],
+    second: tuple[Bdd, frozenset[str], WeightFn],
+    banks: VarBanks,
+    store: NodeStore,
+) -> tuple[Bdd, frozenset[str], WeightFn]:
+    """``(rel, mod, weights)`` of ``s1; s2`` from those of ``s1`` and ``s2``.
+
+    ``s2`` reads what ``s1`` writes from the primed bank.  Only the
+    variables both write have an intermediate value to quantify; ``s2``'s
+    output for them waits on the double-primed bank meanwhile.
+    """
+    rel1, mod1, w1 = first
+    rel2, mod2, w2 = second
+    both = mod1 & mod2
+    shift = {banks.unprimed[x]: banks.primed[x] for x in mod1}
+    shift.update({banks.primed[x]: banks.double_primed[x] for x in both})
+    joined = store.and_exists(
+        rel1, store.rename(shift, rel2), [banks.primed[x] for x in both]
+    )
+    rel = store.rename({banks.double_primed[x]: banks.primed[x] for x in both}, joined)
+    return rel, mod1 | mod2, w1.merged(w2)
 
 
 @dataclass(frozen=True)
 class CompileStats:
     node_count: int  # internal nodes of the final formula
-    store_nodes: int  # total nodes ever allocated (peak; the store holds them all)
+    store_nodes: int  # nodes the store allocated while compiling, terminals included
     compile_ms: float
 
 
@@ -306,18 +307,11 @@ class CompiledProgram:
         return self.phi.store
 
 
-def compile_program(
-    program: Program,
-    *,
-    seq_strategy: str = "fused",
-    op_cache: bool = True,
-) -> CompiledProgram:
+def compile_program(program: Program, *, op_cache: bool = True) -> CompiledProgram:
     """Allocate variable banks and compile the whole program body."""
     begin = time.perf_counter()
     store, banks = allocate_banks(program, op_cache=op_cache)
-    phi, weights = compile_stmt(
-        program.body, banks, store, seq_strategy=seq_strategy
-    )
+    phi, weights = compile_stmt(program.body, banks, store)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     stats = CompileStats(
         node_count=store.node_count(phi),

@@ -152,14 +152,20 @@ def expr_vars(e: Expr) -> Iterator[str]:
 
 
 def _walk_stmts(s: Stmt) -> Iterator[Stmt]:
-    """All statement nodes of ``s`` in textual order."""
-    yield s
-    if isinstance(s, Seq):
-        yield from _walk_stmts(s.first)
-        yield from _walk_stmts(s.second)
-    elif isinstance(s, If):
-        yield from _walk_stmts(s.then_branch)
-        yield from _walk_stmts(s.else_branch)
+    """All statement nodes of ``s`` in textual order.
+
+    An explicit stack, since sequences nest as deep as they are long.
+    """
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+        elif isinstance(node, If):
+            stack.append(node.else_branch)
+            stack.append(node.then_branch)
 
 
 def flips_of(s: Stmt) -> list[Flip]:

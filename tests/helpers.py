@@ -10,6 +10,8 @@ Nothing here reuses the code paths under test:
   transition tables, and marginals to pin the denotational interpreter
   against.
 * ``random_program`` builds seeded random ASTs for differential suites.
+* ``reference_compile`` compiles by the frame-carrying rules, in which
+  every atom carries the frame of all the variables it does not write.
 """
 
 from __future__ import annotations
@@ -242,6 +244,78 @@ def random_program(
         rng, names, max_flips, depth, observe_p, rng.randint(2, 4)
     )
     return Program.from_stmt(relabel_flips(body))
+
+
+# ---------------------------------------------------------------------------
+# Reference compiler: the frame-carrying rules
+# ---------------------------------------------------------------------------
+
+
+def reference_compile(stmt: Stmt, banks, store: NodeStore) -> tuple[Bdd, WeightFn]:
+    """``stmt``'s relation and weights by the frame-carrying rules.
+
+    With ``gamma(S)`` the frame ``AND_{x in S} (x <=> x')`` over all
+    program variables ``V``: ``skip`` is ``gamma(V)``, ``x ~ flip`` is
+    ``(x' <=> f) & gamma(V - {x})``, ``x := e`` is ``(x' <=> e) &
+    gamma(V - {x})``, ``observe(e)`` is ``e & gamma(V)`` and ``if`` is an
+    ``ite`` of the branches.  A sequence folds left: each step moves the
+    next statement's relation onto the primed and double-primed banks,
+    conjoins it while quantifying every primed variable, and moves the
+    double-primed bank back.  Diagrams are canonical, so a correct
+    compiler gives the same handles in the same store.
+    """
+    frame = {banks.unprimed[x]: banks.primed[x] for x in banks.unprimed}
+    shift = dict(frame)
+    shift.update({banks.primed[x]: banks.double_primed[x] for x in banks.primed})
+    unshift = {banks.double_primed[x]: banks.primed[x] for x in banks.primed}
+    primed = list(banks.primed.values())
+    weights: dict[int, tuple[Fraction, Fraction]] = {}
+
+    def frame_without(name: str) -> dict[int, int]:
+        pairs = dict(frame)
+        del pairs[banks.unprimed[name]]
+        return pairs
+
+    def expr(e: Expr) -> Bdd:
+        if isinstance(e, VarRef):
+            return store.var(banks.unprimed[e.name])
+        if isinstance(e, Const):
+            return store.constant(e.value)
+        if isinstance(e, Not):
+            return store.not_(expr(e.inner))
+        return store.apply("and" if isinstance(e, And) else "or", expr(e.lhs), expr(e.rhs))
+
+    def rec(s: Stmt) -> Bdd:
+        if isinstance(s, Skip):
+            return store.iff_cube(frame)
+        if isinstance(s, Flip):
+            f = banks.flip_var[s.label]
+            weights[f] = (s.theta, 1 - s.theta)
+            return store.iff_cube({f: banks.primed[s.target]}) & store.iff_cube(
+                frame_without(s.target)
+            )
+        if isinstance(s, Assign):
+            target = store.var(banks.primed[s.target])
+            return store.apply("iff", target, expr(s.rhs)) & store.iff_cube(
+                frame_without(s.target)
+            )
+        if isinstance(s, Observe):
+            return expr(s.cond) & store.iff_cube(frame)
+        if isinstance(s, If):
+            return store.ite(expr(s.cond), rec(s.then_branch), rec(s.else_branch))
+        atoms, rest = [], s
+        while isinstance(rest, Seq):
+            atoms.append(rest.first)
+            rest = rest.second
+        atoms.append(rest)
+        phi = rec(atoms[0])
+        for atom in atoms[1:]:
+            joined = store.and_exists(phi, store.rename(shift, rec(atom)), primed)
+            phi = store.rename(unshift, joined)
+        return phi
+
+    phi = rec(stmt)
+    return phi, WeightFn(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,18 @@ class TestRename:
         with pytest.raises(OrderViolation):
             store.rename({0: 1, 1: 0}, conj)  # swap
 
+    def test_order_violation_on_deeper_support(self):
+        # the order check looks only as deep as the largest variable or
+        # image of the mapping; a support variable it jumps over below
+        # the mapped ones must still be seen
+        store = fresh_store(5)
+        a = store.apply("and", store.apply("or", store.var(0), store.var(1)), store.var(3))
+        with pytest.raises(OrderViolation):
+            store.rename({0: 2}, a)  # 0 -> 2 crosses variable 1
+        with pytest.raises(OrderViolation):
+            store.rename({1: 4}, a)  # 1 -> 4 crosses variable 3
+        assert store.support(store.rename({1: 2}, a)) == {0, 2, 3}
+
 
 class TestIffCube:
     def test_matches_apply_route(self):

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dippl
 import helpers
 from dippl.cli import main
 from dippl.compiler import compile_program
-from dippl.generators import BenchSpec
+from dippl.generators import BenchSpec, gen_chain
 from dippl.lang import parse
 
 FIG_CHAIN = """
@@ -140,6 +144,29 @@ class TestCompileCommand:
         assert stats["nodeCount"] == 11
         assert stats["varOrder"][:4] == ["f0", "x", "x'", "x''"]
         assert "compileMs" in stats
+
+    @pytest.mark.parametrize("flag", ["--dot", "--stats"])
+    def test_unwritable_output_is_usage_error(self, chain_file, tmp_path, capsys, flag):
+        out = tmp_path / "missing" / "out"
+        assert main(["compile", chain_file, flag, str(out)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_long_chain_in_fresh_interpreter(self, tmp_path):
+        # sequences nest as deep as they are long; a fresh interpreter
+        # has the default recursion limit
+        path = tmp_path / "chain1200.dippl"
+        path.write_text(gen_chain(1200, 3))
+        src = os.path.dirname(os.path.dirname(dippl.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "dippl", "compile", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_dot_styles_edges(self, tmp_path, capsys):
         path = tmp_path / "skip.dippl"

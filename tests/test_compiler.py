@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,11 +15,14 @@ from dippl.compiler import (
     gamma,
     state_cube,
 )
+from dippl.generators import gen_chain, gen_grid, gen_ladder
 from dippl.lang import (
     Flip,
+    If,
     Program,
     Skip,
     UnknownVariable,
+    _walk_stmts,
     parse,
     parse_expr,
     relabel_flips,
@@ -227,24 +231,59 @@ class TestCompiledProgramInvariants:
         weighted = {var for var, _ in compiled.weights.items()}
         assert weighted == set(compiled.banks.flip_var.values())
 
-    def test_strategies_build_identical_diagrams(self):
-        rng = random.Random(57)
-        for _ in range(30):
-            program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3)
-            fused = compile_program(program, seq_strategy="fused")
-            naive = compile_program(program, seq_strategy="naive")
-            assert helpers.shape(fused.phi) == helpers.shape(naive.phi)
-            assert fused.stats.node_count == naive.stats.node_count
-
-    def test_bad_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            compile_program(parse("skip"), seq_strategy="eager")
-
     def test_stats_recorded(self):
         compiled = compile_program(parse(FIG_CHAIN))
         assert compiled.stats.node_count == 11
         assert compiled.stats.store_nodes >= compiled.stats.node_count
         assert compiled.stats.compile_ms >= 0
+
+
+class TestFrameFreeCompilation:
+    """``compile_stmt`` against the frame-carrying rules, in one store."""
+
+    @staticmethod
+    def assert_matches_reference(program):
+        store, banks = allocate_banks(program)
+        phi, weights = compile_stmt(program.body, banks, store)
+        ref_phi, ref_weights = helpers.reference_compile(program.body, banks, store)
+        assert phi == ref_phi
+        assert weights == ref_weights
+
+    def test_random_programs(self):
+        rng = random.Random(57)
+        kinds = set()
+        for _ in range(300):
+            program = helpers.random_program(rng, max_vars=6, max_flips=8, depth=4)
+            for node in _walk_stmts(program.body):
+                kinds.add(type(node).__name__)
+                if isinstance(node, If) and any(
+                    isinstance(inner, If)
+                    for branch in (node.then_branch, node.else_branch)
+                    for inner in _walk_stmts(branch)
+                ):
+                    kinds.add("nested If")
+            self.assert_matches_reference(program)
+        assert {"Observe", "nested If", "Flip", "Assign", "Skip"} <= kinds
+
+    @pytest.mark.parametrize(
+        "source",
+        [gen_chain(40, 3), gen_ladder(30)]
+        + [gen_grid(4, d, seed=11) for d in ("0", "0.5", "0.9")],
+        ids=["chain40", "ladder30", "grid4-0", "grid4-0.5", "grid4-0.9"],
+    )
+    def test_benchmark_families(self, source):
+        self.assert_matches_reference(parse(source))
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_chain_store_grows_as_n_log_n(self, n):
+        # the frame-carrying compiler allocated about 10 * n^2 nodes
+        stats = compile_program(parse(gen_chain(n, 7))).stats
+        assert stats.store_nodes <= 4 * n * math.log2(n)
+
+    @pytest.mark.parametrize("k", [100, 400])
+    def test_ladder_store_grows_as_k_log_k(self, k):
+        stats = compile_program(parse(gen_ladder(k))).stats
+        assert stats.store_nodes <= 3 * k * math.log2(k)
 
 
 class TestStructure:
