@@ -18,8 +18,9 @@ mode intended for benchmarking only.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
-``wmc`` and the quantifier/renaming operations use per-call memo
-tables only.
+The quantifier/renaming operations use per-call memo tables only;
+``wmc`` adds to them an optional table of node counts owned by the
+caller, which a pass reads and, when asked, extends.
 """
 
 from __future__ import annotations
@@ -615,6 +616,8 @@ class NodeStore:
         universe: Iterable[int],
         *,
         as_float: bool = False,
+        table: Optional[dict] = None,
+        extend_table: bool = False,
     ) -> Union[Fraction, float]:
         """Weighted model count of ``a`` over total assignments to ``universe``.
 
@@ -623,16 +626,19 @@ class NodeStore:
         per-call memo; universe variables absent from a path contribute
         their smoothing factor.  ``as_float`` switches the arithmetic to
         IEEE doubles (for benchmarks; exact rationals are the default).
+
+        A node's count covers the universe from the node's variable down,
+        so it depends only on the node, ``weights``, ``universe`` and the
+        arithmetic.  ``table`` maps nodes to counts computed earlier with
+        the same three; the pass reads it, and writes the nodes it counts
+        into it only when ``extend_table`` is set.  The caller owns the
+        table and must never pass it with other weights, another universe
+        or the other arithmetic.
         """
         root = self._own(a)
         uni = sorted(set(universe))
         for var in uni:
             self._check_var(var)
-        missing = self._support(root).difference(uni)
-        if missing:
-            raise SupportOutsideUniverse(
-                f"support variables {sorted(missing)} not in the universe"
-            )
         position = {var: i for i, var in enumerate(uni)}
         size = len(uni)
         one = 1.0 if as_float else Fraction(1)
@@ -661,11 +667,17 @@ class NodeStore:
                 return zero
             return prefix[j] / prefix[i]
 
-        memo: dict[int, object] = {0: zero, 1: one}
+        if table is None:
+            table = {}
+        memo = table if extend_table else {}
+        memo[0] = zero
+        memo[1] = one
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
 
         def node_value(u: int):
             hit = memo.get(u)
+            if hit is None:
+                hit = table.get(u)
             if hit is not None:
                 return hit
             k = position[var_of[u]]
@@ -676,10 +688,21 @@ class NodeStore:
         def edge(child: int, i: int):
             if child == 0:
                 return zero
+            # the position lookup checks the universe: every node is
+            # looked up, and visited even where the span is 0, before it
+            # is counted or read from the table
             j = size if child == 1 else position[var_of[child]]
             return span(i, j) * node_value(child)
 
-        return edge(root, 0)
+        try:
+            return edge(root, 0)
+        except KeyError:
+            missing = self._support(root).difference(uni)
+            if not missing:
+                raise
+            raise SupportOutsideUniverse(
+                f"support variables {sorted(missing)} not in the universe"
+            ) from None
 
     # -- export ----------------------------------------------------------------
 

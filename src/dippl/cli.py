@@ -36,8 +36,8 @@ from .infer import (
     OracleTooLarge,
     Query,
     check_against_oracle,
+    check_oracle_cap,
     event_prob,
-    ORACLE_VAR_LIMIT,
 )
 from .lang import ParseError, Program, UnknownVariable, parse, parse_expr
 from .oracle import INFEASIBLE, State, output_marginal
@@ -132,10 +132,7 @@ def cmd_infer(args) -> int:
 
 def cmd_oracle(args) -> int:
     program = _read_program(args.file)
-    if len(program.vars) > ORACLE_VAR_LIMIT:
-        raise OracleTooLarge(
-            f"{len(program.vars)} variables exceed the cap of {ORACLE_VAR_LIMIT}"
-        )
+    check_oracle_cap(program)
     query = parse_expr(args.query)
     init = _parse_init(args.init, program)
     begin = time.perf_counter()

@@ -61,7 +61,7 @@ linear-size diagrams for chain-structured programs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bdd import Bdd, NodeStore, WeightFn
@@ -153,26 +153,43 @@ def allocate_banks(program: Program, *, op_cache: bool = True) -> tuple[NodeStor
     return store, banks
 
 
+_BINARY_OPS = {And: "and", Or: "or"}
+
+
 def compile_expr(e: Expr, banks: VarBanks, store: NodeStore) -> Bdd:
-    """Expression as a BDD over the unprimed (input-state) bank."""
-    if isinstance(e, VarRef):
-        var = banks.unprimed.get(e.name)
-        if var is None:
-            raise UnknownVariable(e.name)
-        return store.var(var)
-    if isinstance(e, Const):
-        return store.constant(e.value)
-    if isinstance(e, Not):
-        return store.not_(compile_expr(e.inner, banks, store))
-    if isinstance(e, And):
-        return store.apply(
-            "and", compile_expr(e.lhs, banks, store), compile_expr(e.rhs, banks, store)
-        )
-    if isinstance(e, Or):
-        return store.apply(
-            "or", compile_expr(e.lhs, banks, store), compile_expr(e.rhs, banks, store)
-        )
-    raise TypeError(f"not an expression: {e!r}")
+    """Expression as a BDD over the unprimed (input-state) bank.
+
+    Operands are compiled left to right with an explicit stack, since
+    operator chains nest as deep as they are long.
+    """
+    built: list[Bdd] = []
+    # an operator's name ("not", "and", "or") sits on the stack below its
+    # operands and is applied to the last entries of ``built`` once they
+    # are done
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is VarRef:
+            var = banks.unprimed.get(node.name)
+            if var is None:
+                raise UnknownVariable(node.name)
+            built.append(store.var(var))
+        elif kind is str:
+            if node == "not":
+                built.append(store.not_(built.pop()))
+            else:
+                rhs = built.pop()
+                built.append(store.apply(node, built.pop(), rhs))
+        elif kind is Not:
+            stack += ("not", node.inner)
+        elif kind is And or kind is Or:
+            stack += (_BINARY_OPS[kind], node.rhs, node.lhs)
+        elif kind is Const:
+            built.append(store.constant(node.value))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return built[0]
 
 
 def gamma(banks: VarBanks, store: NodeStore, exclude: frozenset[str] = frozenset()) -> Bdd:
@@ -301,6 +318,10 @@ class CompiledProgram:
     banks: VarBanks
     program: Program
     stats: CompileStats
+    # NodeStore.wmc tables shared by this program's queries, one per
+    # arithmetic mode; see dippl.infer
+    exact_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    float_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def store(self) -> NodeStore:

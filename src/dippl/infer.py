@@ -14,6 +14,18 @@ that outcome is reported as the first-class ``INFEASIBLE`` value, never
 as an exception and never as probability zero.  Numerator and
 denominator are always reported alongside the ratio.
 
+A node's weighted model count depends only on the node, the weights and
+the universe, and all three are fixed for a ``CompiledProgram``, so the
+queries on one program share a table of node counts (one per arithmetic
+mode, freed with the program).  Passes over a conditioned diagram
+``phi & <s>`` (denominators and ``accept_prob``) add their nodes to it;
+numerator passes only read it.  Below its event's variables a numerator
+diagram is ``phi & <s>`` itself, so once the denominator is known a
+numerator counts only the nodes above its event, and a repeated
+denominator costs one lookup.  Keeping numerator nodes out bounds the
+table by the conditioned diagrams.  The table makes a compiled program
+stateful: queries on one ``CompiledProgram`` must not run concurrently.
+
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
 mapping to ``INFEASIBLE``); it is the executable form of the compiler's
@@ -92,21 +104,31 @@ def _init_state(compiled: CompiledProgram, state: Optional[State]) -> State:
     return state
 
 
+def _count(
+    compiled: CompiledProgram, bdd, *, as_float: bool, extend_table: bool
+) -> Union[Fraction, float]:
+    """WMC of ``bdd`` through the program's shared table; only passes
+    over conditioned diagrams (``phi & <s>``) extend it."""
+    return compiled.store.wmc(
+        bdd,
+        compiled.weights,
+        compiled.banks.universe,
+        as_float=as_float,
+        table=compiled.float_counts if as_float else compiled.exact_counts,
+        extend_table=extend_table,
+    )
+
+
 def _ratio(
     compiled: CompiledProgram, numerator_bdd, denominator_bdd, *, as_float: bool
 ) -> InferenceResult:
     begin = time.perf_counter()
-    universe = compiled.banks.universe
-    denominator = compiled.store.wmc(
-        denominator_bdd, compiled.weights, universe, as_float=as_float
-    )
+    denominator = _count(compiled, denominator_bdd, as_float=as_float, extend_table=True)
     if denominator == 0:
         value: Value = INFEASIBLE
         numerator = 0.0 if as_float else Fraction(0)
     else:
-        numerator = compiled.store.wmc(
-            numerator_bdd, compiled.weights, universe, as_float=as_float
-        )
+        numerator = _count(compiled, numerator_bdd, as_float=as_float, extend_table=False)
         value = numerator / denominator
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     stats = InferenceStats(
@@ -123,9 +145,7 @@ def accept_prob(
     conditioned = compiled.phi & state_cube(
         from_state, compiled.banks.unprimed, compiled.store
     )
-    return compiled.store.wmc(
-        conditioned, compiled.weights, compiled.banks.universe, as_float=as_float
-    )
+    return _count(compiled, conditioned, as_float=as_float, extend_table=True)
 
 
 def transition_prob(
@@ -161,6 +181,15 @@ def event_prob(
     return _ratio(compiled, conditioned & event_bdd, conditioned, as_float=as_float)
 
 
+def check_oracle_cap(program: Program):
+    """Raise OracleTooLarge if ``program`` has more than ORACLE_VAR_LIMIT
+    variables, beyond which enumerating its states is too slow."""
+    if len(program.vars) > ORACLE_VAR_LIMIT:
+        raise OracleTooLarge(
+            f"{len(program.vars)} variables exceed the cap of {ORACLE_VAR_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class OracleCheck:
     """Outcome of one compiled-versus-interpreter comparison."""
@@ -181,10 +210,7 @@ def check_against_oracle(
     The interpreter enumerates the state space, so programs above
     ORACLE_VAR_LIMIT variables are refused (OracleTooLarge).
     """
-    if len(program.vars) > ORACLE_VAR_LIMIT:
-        raise OracleTooLarge(
-            f"{len(program.vars)} variables exceed the cap of {ORACLE_VAR_LIMIT}"
-        )
+    check_oracle_cap(program)
     if compiled is None:
         compiled = compile_program(program)
     init = query.init_state

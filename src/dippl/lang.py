@@ -141,14 +141,20 @@ Stmt = Union[Skip, Assign, Flip, If, Observe, Seq]
 
 
 def expr_vars(e: Expr) -> Iterator[str]:
-    """Variable names in ``e``, in textual (left-to-right) order."""
-    if isinstance(e, VarRef):
-        yield e.name
-    elif isinstance(e, Not):
-        yield from expr_vars(e.inner)
-    elif isinstance(e, (And, Or)):
-        yield from expr_vars(e.lhs)
-        yield from expr_vars(e.rhs)
+    """Variable names in ``e``, in textual (left-to-right) order.
+
+    An explicit stack, since operator chains nest as deep as they are long.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, VarRef):
+            yield node.name
+        elif isinstance(node, Not):
+            stack.append(node.inner)
+        elif isinstance(node, (And, Or)):
+            stack.append(node.rhs)
+            stack.append(node.lhs)
 
 
 def _walk_stmts(s: Stmt) -> Iterator[Stmt]:
@@ -179,20 +185,33 @@ def relabel_flips(s: Stmt) -> Stmt:
     Convenient when assembling ASTs by hand; parsed programs already
     carry correct labels.
     """
-    counter = [0]
-
-    def rebuild(node: Stmt) -> Stmt:
+    label = 0
+    built: list[Stmt] = []
+    # (node, children done): a compound node is rebuilt from the last
+    # entries of ``built`` once its children are
+    stack: list[tuple[Stmt, bool]] = [(s, False)]
+    while stack:
+        node, done = stack.pop()
         if isinstance(node, Flip):
-            label = counter[0]
-            counter[0] += 1
-            return Flip(node.target, node.theta, label)
-        if isinstance(node, Seq):
-            return Seq(rebuild(node.first), rebuild(node.second))
-        if isinstance(node, If):
-            return If(node.cond, rebuild(node.then_branch), rebuild(node.else_branch))
-        return node
-
-    return rebuild(s)
+            built.append(Flip(node.target, node.theta, label))
+            label += 1
+        elif isinstance(node, Seq):
+            if done:
+                second = built.pop()
+                built.append(Seq(built.pop(), second))
+            else:
+                stack.extend([(node, True), (node.second, False), (node.first, False)])
+        elif isinstance(node, If):
+            if done:
+                else_branch = built.pop()
+                built.append(If(node.cond, built.pop(), else_branch))
+            else:
+                stack.extend(
+                    [(node, True), (node.else_branch, False), (node.then_branch, False)]
+                )
+        else:
+            built.append(node)
+    return built[0]
 
 
 @dataclass(frozen=True)
@@ -535,30 +554,43 @@ def validate(program: Program) -> list[Diagnostic]:
     with no prior assign or flip to it.
     """
     flagged: dict[str, None] = {}
+    # variables assigned for sure on the path walked so far; only an
+    # ``if`` copies it, for its else branch
+    assigned: set[str] = set()
 
-    def check_expr(e: Expr, assigned: frozenset[str]):
+    def check_expr(e: Expr):
         for name in expr_vars(e):
             if name not in assigned:
                 flagged.setdefault(name)
 
-    def walk(s: Stmt, assigned: frozenset[str]) -> frozenset[str]:
-        if isinstance(s, Skip):
-            return assigned
-        if isinstance(s, Assign):
-            check_expr(s.rhs, assigned)
-            return assigned | {s.target}
-        if isinstance(s, Flip):
-            return assigned | {s.target}
-        if isinstance(s, Observe):
-            check_expr(s.cond, assigned)
-            return assigned
-        if isinstance(s, If):
-            check_expr(s.cond, assigned)
-            # assigned-for-sure afterwards = assigned on both branches
-            return walk(s.then_branch, assigned) & walk(s.else_branch, assigned)
-        return walk(s.second, walk(s.first, assigned))
-
-    walk(program.body, frozenset())
+    # a task is a statement to walk, or, for an ``if`` whose then branch
+    # is done, ("else", branch, assigned before the if) and then
+    # ("meet", assigned after the then branch)
+    stack: list = [program.body]
+    while stack:
+        task = stack.pop()
+        if isinstance(task, tuple):
+            if task[0] == "else":
+                _, branch, before = task
+                stack.append(("meet", assigned))
+                stack.append(branch)
+                assigned = before
+            else:
+                # assigned for sure afterwards = assigned on both branches
+                assigned &= task[1]
+        elif isinstance(task, (Assign, Flip)):
+            if isinstance(task, Assign):
+                check_expr(task.rhs)
+            assigned.add(task.target)
+        elif isinstance(task, Observe):
+            check_expr(task.cond)
+        elif isinstance(task, If):
+            check_expr(task.cond)
+            stack.append(("else", task.else_branch, set(assigned)))
+            stack.append(task.then_branch)
+        elif isinstance(task, Seq):
+            stack.append(task.second)
+            stack.append(task.first)
     return [
         Diagnostic("warning", name, f"variable {name!r} may be read before assignment")
         for name in flagged

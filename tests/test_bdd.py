@@ -250,6 +250,16 @@ class TestWmc:
         with pytest.raises(SupportOutsideUniverse):
             store.wmc(store.var(1), WeightFn(), {0})
 
+    def test_support_outside_universe_below_a_zero_weight_level(self):
+        # every edge that skips a level weighted (0, 0) counts 0, but the
+        # diagram below it must still be checked
+        store = fresh_store(4)
+        below = store.var(2) & store.var(3)
+        with pytest.raises(SupportOutsideUniverse, match=r"\[3\]"):
+            store.wmc(store.var(0) & below, WeightFn({1: (0, 0)}), {0, 1, 2})
+        with pytest.raises(SupportOutsideUniverse, match=r"\[3\]"):
+            store.wmc(below, WeightFn({0: (0, 0)}), {0, 1, 2})
+
     def test_against_brute_force(self):
         rng = random.Random(21)
         store = fresh_store(6)
@@ -266,6 +276,33 @@ class TestWmc:
             assert store.wmc(a, weights, variables) == helpers.brute_force_wmc(
                 a, weights, variables
             )
+
+    def test_shared_table(self):
+        # one table across many diagrams of one store, weights and universe
+        rng = random.Random(29)
+        store = fresh_store(6)
+        variables = list(range(6))
+        weights = WeightFn({v: (Fraction(v, 7), Fraction(7 - v, 5)) for v in variables})
+        table: dict = {}
+        for _ in range(60):
+            a = helpers.random_bdd(rng, store, variables)
+            expected = helpers.brute_force_wmc(a, weights, variables)
+            before = dict(table)
+            assert store.wmc(a, weights, variables, table=table) == expected
+            assert table == before  # a read-only pass adds nothing
+            assert store.wmc(a, weights, variables, table=table, extend_table=True) == expected
+            assert set(table) - set(before) <= {0, 1} | self.reachable(a)
+            assert self.reachable(a) <= set(table)
+
+    @staticmethod
+    def reachable(a):
+        nodes, stack = set(), [a]
+        while stack:
+            node = stack.pop()
+            if not node.is_terminal and node.idx not in nodes:
+                nodes.add(node.idx)
+                stack.extend([node.low, node.high])
+        return nodes
 
     def test_fresh_flip_variable_is_neutral(self):
         store = fresh_store(3)

@@ -129,6 +129,7 @@ class TestOracleCommand:
         path = tmp_path / "wide.dippl"
         path.write_text("; ".join(f"v{i} := true" for i in range(13)))
         assert main(["oracle", str(path), "--query", "v0"]) == 3
+        assert "13 variables exceed the cap of 12" in capsys.readouterr().err
 
 
 class TestCompileCommand:
@@ -156,6 +157,22 @@ class TestCompileCommand:
         # has the default recursion limit
         path = tmp_path / "chain1200.dippl"
         path.write_text(gen_chain(1200, 3))
+        src = os.path.dirname(os.path.dirname(dippl.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "dippl", "compile", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_wide_expression_in_fresh_interpreter(self, tmp_path):
+        # operator chains nest as deep as they are long
+        path = tmp_path / "wide.dippl"
+        path.write_text("x := " + " || ".join(f"v{i}" for i in range(1500)))
         src = os.path.dirname(os.path.dirname(dippl.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from dippl.compiler import compile_program
+from dippl import oracle
+from dippl.compiler import compile_program, state_cube
+from dippl.generators import gen_grid, grid_var
 from dippl.infer import (
     OracleTooLarge,
     Query,
@@ -13,7 +15,7 @@ from dippl.infer import (
     event_prob,
     transition_prob,
 )
-from dippl.lang import parse, parse_expr
+from dippl.lang import parse, parse_expr, unparse
 from dippl.oracle import INFEASIBLE, State
 
 FIG_CHAIN = """
@@ -189,7 +191,7 @@ class TestCheckAgainstOracle:
 
     def test_oracle_too_large(self):
         names = "; ".join(f"v{i} := true" for i in range(13))
-        with pytest.raises(OracleTooLarge):
+        with pytest.raises(OracleTooLarge, match="13 variables exceed the cap of 12"):
             check_against_oracle(parse(names), Query(mode="accepting"))
 
     def test_query_validation(self):
@@ -198,3 +200,75 @@ class TestCheckAgainstOracle:
         with pytest.raises(ValueError):
             Query(mode="nonsense")
         assert Query(mode="marginal").event is not None
+
+
+def _ask(compiled_program, kind, init, arg, as_float):
+    """(value, numerator, denominator) of one query; accept has no ratio."""
+    if kind == "accepting":
+        return accept_prob(compiled_program, init, as_float=as_float), None, None
+    if kind == "transition":
+        result = transition_prob(compiled_program, init, arg, as_float=as_float)
+    else:
+        result = event_prob(compiled_program, init, arg, as_float=as_float)
+    return result.value, result.numerator, result.denominator
+
+
+def _oracle_value(program, kind, init, arg):
+    if kind == "accepting":
+        return oracle.accepting(program, init)
+    if kind == "transition":
+        dist = oracle.transition(program, init)
+        return INFEASIBLE if dist.is_bottom else dist.prob(arg)
+    return oracle.output_marginal(program, init, arg)
+
+
+class TestSharedCountTable:
+    """Queries on one compiled program share a table of node counts."""
+
+    def test_matches_fresh_compile_and_oracle(self):
+        rng = random.Random(71)
+        seen = {"observe": 0, "infeasible": 0, "float": 0}
+        for _ in range(200):
+            program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3, observe_p=0.3)
+            c = compile_program(program)
+            seen["observe"] += "observe(" in unparse(program)
+            asks = []
+            for _ in range(3):
+                init = State(program.vars, tuple(rng.random() < 0.5 for _ in program.vars))
+                target = State(program.vars, tuple(rng.random() < 0.5 for _ in program.vars))
+                asks.append(("accepting", init, None))
+                asks.append(("transition", init, target))
+                for _ in range(2):
+                    asks.append(("marginal", init, helpers.random_expr(rng, list(program.vars))))
+            # each query twice, so repeated denominators and numerators
+            # are read back from the table
+            asks *= 2
+            rng.shuffle(asks)
+            for kind, init, arg in asks:
+                as_float = rng.random() < 0.3
+                got = _ask(c, kind, init, arg, as_float)
+                assert got == _ask(compile_program(program), kind, init, arg, as_float)
+                expected = _oracle_value(program, kind, init, arg)
+                if expected is INFEASIBLE:
+                    seen["infeasible"] += 1
+                    assert got[0] is INFEASIBLE
+                elif as_float:
+                    seen["float"] += 1
+                    assert isinstance(got[0], float)
+                    assert abs(got[0] - float(expected)) < 1e-9
+                else:
+                    assert got[0] == expected
+                    assert isinstance(got[0], Fraction)
+        assert all(seen.values()), seen
+
+    def test_table_keeps_only_conditioned_nodes(self):
+        # numerator diagrams outgrow phi & <s> many times over; a table
+        # that kept their nodes would grow with every marginal
+        c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
+        init = State.all_false(c.program.vars)
+        for i in range(4):
+            for j in range(4):
+                assert event_prob(c, init, parse_expr(grid_var(i, j))).value is not INFEASIBLE
+        conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
+        assert len(c.exact_counts) <= c.store.node_count(conditioned) + 2
+        assert not c.float_counts

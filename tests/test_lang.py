@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dippl
 from dippl.lang import (
     And,
     Assign,
@@ -295,3 +299,24 @@ class TestValidate:
     def test_each_variable_reported_once(self):
         diagnostics = validate(parse("y := x && x; observe(x)"))
         assert [d.var for d in diagnostics] == ["x"]
+
+
+def test_long_chain_walks_in_fresh_interpreter():
+    # sequences nest as deep as they are long; a fresh interpreter has the
+    # default recursion limit
+    code = (
+        "from dippl.generators import gen_chain\n"
+        "from dippl.lang import flips_of, parse, relabel_flips, unparse, validate\n"
+        "program = parse(gen_chain(1200, 3))\n"
+        "assert validate(program) == []\n"
+        "body = relabel_flips(program.body)\n"
+        "assert [f.label for f in flips_of(body)] == list(range(program.flip_count))\n"
+        "assert unparse(body) == unparse(program)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dippl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
