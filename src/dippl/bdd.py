@@ -13,20 +13,23 @@ bottom-up pass computing the weighted model count over an explicit
 variable universe.  A variable of the universe skipped along a path
 contributes its smoothing factor (weight-true + weight-false).
 
-All weights are exact rationals by default; ``wmc`` has an IEEE-double
-mode intended for benchmarking only.
+Weights are exact rationals, and counts are exact.  ``wmc`` scales each
+variable's weight pair to ints by the lcm of its denominators and counts
+on Python ints, so a pass does no ``Fraction`` arithmetic and no float
+arithmetic; the product of the scales is divided out once, at the end.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
 The quantifier/renaming operations use per-call memo tables only;
-``wmc`` adds to them an optional table of node counts owned by the
-caller, which a pass reads and, when asked, extends.
+``wmc`` adds to them an optional table of scaled (int) node counts
+owned by the caller, which a pass reads and, when asked, extends.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 _OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE = range(7)
@@ -615,25 +618,32 @@ class NodeStore:
         weights: WeightFn,
         universe: Iterable[int],
         *,
-        as_float: bool = False,
         table: Optional[dict] = None,
         extend_table: bool = False,
-    ) -> Union[Fraction, float]:
+        scaled: bool = False,
+    ) -> Union[Fraction, tuple[int, int]]:
         """Weighted model count of ``a`` over total assignments to ``universe``.
 
         Sums, over assignments satisfying ``a``, the product of the weight
         of every literal in the assignment.  One bottom-up pass with a
         per-call memo; universe variables absent from a path contribute
-        their smoothing factor.  ``as_float`` switches the arithmetic to
-        IEEE doubles (for benchmarks; exact rationals are the default).
+        their smoothing factor.
 
-        A node's count covers the universe from the node's variable down,
-        so it depends only on the node, ``weights``, ``universe`` and the
-        arithmetic.  ``table`` maps nodes to counts computed earlier with
-        the same three; the pass reads it, and writes the nodes it counts
-        into it only when ``extend_table`` is set.  The caller owns the
-        table and must never pass it with other weights, another universe
-        or the other arithmetic.
+        The pass runs on Python ints: each universe variable's weights
+        ``(t, f)`` are scaled by ``s = lcm(t.denominator, f.denominator)``,
+        and a node's count is kept multiplied by the scales of the
+        universe from the node's variable down.  The result is exact: the
+        scaled count of the root divided by ``S``, the product of all
+        scales, as a ``Fraction``; with ``scaled`` the pass returns the
+        pair ``(count * S, S)`` of ints instead, so that a ratio of two
+        counts cancels ``S`` unreduced.
+
+        A node's scaled count depends only on the node, ``weights`` and
+        ``universe``.  ``table`` maps nodes to scaled counts computed
+        earlier with the same two; the pass reads it, and writes the nodes
+        it counts into it only when ``extend_table`` is set.  The caller
+        owns the table and must never pass it with other weights or
+        another universe.
         """
         root = self._own(a)
         uni = sorted(set(universe))
@@ -641,20 +651,22 @@ class NodeStore:
             self._check_var(var)
         position = {var: i for i, var in enumerate(uni)}
         size = len(uni)
-        one = 1.0 if as_float else Fraction(1)
-        zero = 0.0 if as_float else Fraction(0)
-        wt: list = []
-        wf: list = []
+        wt: list[int] = []
+        wf: list[int] = []
+        # prefix products of the nonzero smoothing factors, plus a running
+        # count of zero factors, so any interval product is one division
+        prefix = [1]
+        zeros = [0]
+        scale = 1
         for var in uni:
             t, f = weights.weight(var)
-            wt.append(float(t) if as_float else t)
-            wf.append(float(f) if as_float else f)
-        # prefix products of the nonzero smoothing factors, plus a running
-        # count of zero factors, so any interval product is O(1)
-        prefix = [one]
-        zeros = [0]
-        for i in range(size):
-            factor = wt[i] + wf[i]
+            s = lcm(t.denominator, f.denominator)
+            t = t.numerator * (s // t.denominator)
+            f = f.numerator * (s // f.denominator)
+            wt.append(t)
+            wf.append(f)
+            scale *= s
+            factor = t + f
             if factor == 0:
                 prefix.append(prefix[-1])
                 zeros.append(zeros[-1] + 1)
@@ -662,19 +674,14 @@ class NodeStore:
                 prefix.append(prefix[-1] * factor)
                 zeros.append(zeros[-1])
 
-        def span(i: int, j: int):
-            if zeros[i] != zeros[j]:
-                return zero
-            return prefix[j] / prefix[i]
-
         if table is None:
             table = {}
         memo = table if extend_table else {}
-        memo[0] = zero
-        memo[1] = one
+        memo[0] = 0
+        memo[1] = 1
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
 
-        def node_value(u: int):
+        def node_value(u: int) -> int:
             hit = memo.get(u)
             if hit is None:
                 hit = table.get(u)
@@ -685,17 +692,22 @@ class NodeStore:
             memo[u] = result
             return result
 
-        def edge(child: int, i: int):
+        def edge(child: int, i: int) -> int:
             if child == 0:
-                return zero
+                return 0
             # the position lookup checks the universe: every node is
             # looked up, and visited even where the span is 0, before it
             # is counted or read from the table
             j = size if child == 1 else position[var_of[child]]
-            return span(i, j) * node_value(child)
+            count = node_value(child)
+            if j == i:
+                return count
+            if zeros[i] != zeros[j]:
+                return 0
+            return prefix[j] // prefix[i] * count
 
         try:
-            return edge(root, 0)
+            count = edge(root, 0)
         except KeyError:
             missing = self._support(root).difference(uni)
             if not missing:
@@ -703,6 +715,7 @@ class NodeStore:
             raise SupportOutsideUniverse(
                 f"support variables {sorted(missing)} not in the universe"
             ) from None
+        return (count, scale) if scaled else Fraction(count, scale)
 
     # -- export ----------------------------------------------------------------
 

@@ -63,7 +63,10 @@ def _read_program(path: str) -> Program:
             source = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    return parse(source)
+    try:
+        return parse(source)
+    except ValueError as exc:  # a flip parameter outside [0, 1]
+        raise _UsageError(f"{path}: {exc}") from None
 
 
 def _open_output(path: str, newline: Optional[str] = None):
@@ -241,11 +244,14 @@ def cmd_bench(args) -> int:
     dets = [d.strip() for d in args.det.split(",")] if args.det else ["0"]
     if args.family != "grid" and args.det:
         raise _UsageError("--det only applies to the grid family")
-    specs = [
-        (generators.BenchSpec(args.family, size, det, args.seed), det)
-        for size in sizes
-        for det in dets
-    ]
+    try:
+        specs = [
+            (generators.BenchSpec(args.family, size, det, args.seed), det)
+            for size in sizes
+            for det in dets
+        ]
+    except ValueError as exc:  # a size below 1, a bad or out-of-range --det
+        raise _UsageError(str(exc)) from None
     with _open_output(args.out, newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--query", required=True, help="Boolean expression over program variables")
     infer.add_argument("--init", help="initial state overrides, e.g. x=true,y=false")
     infer.add_argument("--json", action="store_true")
-    infer.add_argument("--float", action="store_true", help="IEEE-double arithmetic (benchmarking)")
+    infer.add_argument("--float", action="store_true", help="print the exact answer as floats")
     infer.set_defaults(func=cmd_infer)
 
     oracle_cmd = sub.add_parser("oracle", help="answer a query with the reference interpreter")
@@ -304,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ParseError, UnknownVariable, ValueError) as exc:
+    except (_UsageError, ParseError, UnknownVariable) as exc:
         print(f"dippl: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OracleTooLarge as exc:

@@ -318,10 +318,9 @@ class CompiledProgram:
     banks: VarBanks
     program: Program
     stats: CompileStats
-    # NodeStore.wmc tables shared by this program's queries, one per
-    # arithmetic mode; see dippl.infer
+    # the NodeStore.wmc table of scaled int counts shared by this
+    # program's queries; see dippl.infer
     exact_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    float_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def store(self) -> NodeStore:

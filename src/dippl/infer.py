@@ -14,12 +14,19 @@ that outcome is reported as the first-class ``INFEASIBLE`` value, never
 as an exception and never as probability zero.  Numerator and
 denominator are always reported alongside the ratio.
 
-A node's weighted model count depends only on the node, the weights and
-the universe, and all three are fixed for a ``CompiledProgram``, so the
-queries on one program share a table of node counts (one per arithmetic
-mode, freed with the program).  Passes over a conditioned diagram
-``phi & <s>`` (denominators and ``accept_prob``) add their nodes to it;
-numerator passes only read it.  Below its event's variables a numerator
+Counts are exact.  ``NodeStore.wmc`` counts on Python ints scaled by a
+product ``S`` of the weights' denominators; a ratio takes the two scaled
+counts, whose ``S`` cancels, and numerator and denominator are divided
+by ``S`` for the report.  ``as_float`` is output formatting only: the
+query is answered exactly and ``float()`` of the value, numerator and
+denominator is returned.
+
+A node's scaled count depends only on the node, the weights and the
+universe, and all three are fixed for a ``CompiledProgram``, so the
+queries on one program share a table of node counts (freed with the
+program).  Passes over a conditioned diagram ``phi & <s>``
+(denominators and ``accept_prob``) add their nodes to it; numerator
+passes only read it.  Below its event's variables a numerator
 diagram is ``phi & <s>`` itself, so once the denominator is known a
 numerator counts only the nodes above its event, and a repeated
 denominator costs one lookup.  Keeping numerator nodes out bounds the
@@ -104,18 +111,17 @@ def _init_state(compiled: CompiledProgram, state: Optional[State]) -> State:
     return state
 
 
-def _count(
-    compiled: CompiledProgram, bdd, *, as_float: bool, extend_table: bool
-) -> Union[Fraction, float]:
-    """WMC of ``bdd`` through the program's shared table; only passes
-    over conditioned diagrams (``phi & <s>``) extend it."""
+def _count(compiled: CompiledProgram, bdd, *, extend_table: bool) -> tuple[int, int]:
+    """Scaled WMC ``(count * S, S)`` of ``bdd`` through the program's
+    shared table; only passes over conditioned diagrams (``phi & <s>``)
+    extend it."""
     return compiled.store.wmc(
         bdd,
         compiled.weights,
         compiled.banks.universe,
-        as_float=as_float,
-        table=compiled.float_counts if as_float else compiled.exact_counts,
+        table=compiled.exact_counts,
         extend_table=extend_table,
+        scaled=True,
     )
 
 
@@ -123,13 +129,19 @@ def _ratio(
     compiled: CompiledProgram, numerator_bdd, denominator_bdd, *, as_float: bool
 ) -> InferenceResult:
     begin = time.perf_counter()
-    denominator = _count(compiled, denominator_bdd, as_float=as_float, extend_table=True)
+    denominator, scale = _count(compiled, denominator_bdd, extend_table=True)
     if denominator == 0:
         value: Value = INFEASIBLE
-        numerator = 0.0 if as_float else Fraction(0)
+        numerator = 0
     else:
-        numerator = _count(compiled, numerator_bdd, as_float=as_float, extend_table=False)
-        value = numerator / denominator
+        numerator, _ = _count(compiled, numerator_bdd, extend_table=False)
+        # both counts carry the same scale, which the ratio cancels
+        value = Fraction(numerator, denominator)
+    numerator, denominator = Fraction(numerator, scale), Fraction(denominator, scale)
+    if as_float:
+        if value is not INFEASIBLE:
+            value = float(value)
+        numerator, denominator = float(numerator), float(denominator)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     stats = InferenceStats(
         phi_nodes=compiled.stats.node_count, query_ms=elapsed_ms
@@ -145,7 +157,8 @@ def accept_prob(
     conditioned = compiled.phi & state_cube(
         from_state, compiled.banks.unprimed, compiled.store
     )
-    return _count(compiled, conditioned, as_float=as_float, extend_table=True)
+    value = Fraction(*_count(compiled, conditioned, extend_table=True))
+    return float(value) if as_float else value
 
 
 def transition_prob(

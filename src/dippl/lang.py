@@ -470,21 +470,35 @@ def parse_expr(source: str) -> Expr:
 _OR_PREC, _AND_PREC, _NOT_PREC = 1, 2, 3
 
 
-def _expr_text(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, Const):
-        return "true" if e.value else "false"
-    if isinstance(e, Not):
-        return "!" + _expr_text(e.inner, _NOT_PREC)
-    if isinstance(e, Or):
-        prec, op = _OR_PREC, "||"
-    else:
-        prec, op = _AND_PREC, "&&"
-    # right operand gets prec+1 so same-precedence right nesting is
-    # parenthesized and the printed text reparses to the same tree
-    text = f"{_expr_text(e.lhs, prec)} {op} {_expr_text(e.rhs, prec + 1)}"
-    return f"({text})" if prec < parent_prec else text
+def _expr_text(e: Expr) -> str:
+    """Source text of ``e``, built left to right with an explicit stack,
+    since operator chains nest as deep as they are long."""
+    out: list[str] = []
+    # entries are (expression, precedence of its context) or text to emit
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, parent_prec = item
+        if isinstance(node, VarRef):
+            out.append(node.name)
+        elif isinstance(node, Const):
+            out.append("true" if node.value else "false")
+        elif isinstance(node, Not):
+            out.append("!")
+            stack.append((node.inner, _NOT_PREC))
+        else:
+            prec, op = (_OR_PREC, " || ") if isinstance(node, Or) else (_AND_PREC, " && ")
+            # the right operand gets prec+1 so same-precedence right
+            # nesting is parenthesized and the printed text reparses to
+            # the same tree
+            if prec < parent_prec:
+                out.append("(")
+                stack.append(")")
+            stack += ((node.rhs, prec + 1), op, (node.lhs, prec))
+    return "".join(out)
 
 
 def _seq_atoms(s: Stmt) -> list[Stmt]:

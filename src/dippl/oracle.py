@@ -221,17 +221,50 @@ _ZERO = Fraction(0)
 
 def eval_expr(e: Expr, state: State) -> bool:
     """Truth-table evaluation of ``e`` in ``state``."""
-    if isinstance(e, VarRef):
-        return state[e.name]
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Not):
-        return not eval_expr(e.inner, state)
-    if isinstance(e, And):
-        return eval_expr(e.lhs, state) and eval_expr(e.rhs, state)
-    if isinstance(e, Or):
-        return eval_expr(e.lhs, state) or eval_expr(e.rhs, state)
-    raise TypeError(f"not an expression: {e!r}")
+    return _evaluate(e, state.values, {name: i for i, name in enumerate(state.vars)})
+
+
+def _evaluate(e: Expr, values: tuple[bool, ...], index: Mapping[str, int]) -> bool:
+    """Truth value of ``e`` where variable ``x`` has value ``values[index[x]]``.
+
+    Operands are evaluated left to right with an explicit stack, since
+    operator chains nest as deep as they are long; ``&&`` and ``||``
+    skip their right operand once the left one decides.
+    """
+    # the stack holds the operators above the operand being evaluated:
+    # None for a negation, or the And/Or node whose left operand it is
+    stack: list = []
+    node = e
+    while True:
+        kind = type(node)
+        while kind is Not or kind is And or kind is Or:
+            if kind is Not:
+                stack.append(None)
+                node = node.inner
+            else:
+                stack.append(node)
+                node = node.lhs
+            kind = type(node)
+        if kind is VarRef:
+            try:
+                value = values[index[node.name]]
+            except KeyError:
+                raise UnknownVariable(node.name) from None
+        elif kind is Const:
+            value = node.value
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        while stack:
+            op = stack.pop()
+            if op is None:
+                value = not value
+            elif value != (type(op) is Or):
+                # the left operand did not decide: the right one's value
+                # is the operator's
+                node = op.rhs
+                break
+        else:
+            return value
 
 
 class _Evaluator:
@@ -255,22 +288,6 @@ class _Evaluator:
             return state
         return self._interned[values[:pos] + (value,) + values[pos + 1 :]]
 
-    def _eval(self, e: Expr, values: tuple[bool, ...]) -> bool:
-        if isinstance(e, VarRef):
-            try:
-                return values[self.index[e.name]]
-            except KeyError:
-                raise UnknownVariable(e.name) from None
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Not):
-            return not self._eval(e.inner, values)
-        if isinstance(e, And):
-            return self._eval(e.lhs, values) and self._eval(e.rhs, values)
-        if isinstance(e, Or):
-            return self._eval(e.lhs, values) or self._eval(e.rhs, values)
-        raise TypeError(f"not an expression: {e!r}")
-
     def transition(self, stmt: Stmt, state: State) -> StateDistribution:
         key = (id(stmt), state)
         cached = self._memo_t.get(key)
@@ -284,7 +301,7 @@ class _Evaluator:
         if isinstance(stmt, Skip):
             return StateDistribution.point(state)
         if isinstance(stmt, Assign):
-            value = self._eval(stmt.rhs, state.values)
+            value = _evaluate(stmt.rhs, state.values, self.index)
             return StateDistribution.point(
                 self._replace(state, self.index[stmt.target], value)
             )
@@ -298,13 +315,13 @@ class _Evaluator:
                 }
             )
         if isinstance(stmt, Observe):
-            if self._eval(stmt.cond, state.values):
+            if _evaluate(stmt.cond, state.values, self.index):
                 return StateDistribution.point(state)
             return _BOTTOM
         if isinstance(stmt, If):
             branch = (
                 stmt.then_branch
-                if self._eval(stmt.cond, state.values)
+                if _evaluate(stmt.cond, state.values, self.index)
                 else stmt.else_branch
             )
             return self.transition(branch, state)
@@ -348,11 +365,11 @@ class _Evaluator:
         if isinstance(stmt, (Skip, Assign, Flip)):
             return _ONE
         if isinstance(stmt, Observe):
-            return _ONE if self._eval(stmt.cond, state.values) else _ZERO
+            return _ONE if _evaluate(stmt.cond, state.values, self.index) else _ZERO
         if isinstance(stmt, If):
             branch = (
                 stmt.then_branch
-                if self._eval(stmt.cond, state.values)
+                if _evaluate(stmt.cond, state.values, self.index)
                 else stmt.else_branch
             )
             return self.accepting(branch, state)
@@ -410,6 +427,6 @@ def output_marginal(
         return INFEASIBLE
     total = _ZERO
     for state, m in dist.mass.items():
-        if evaluator._eval(query, state.values):
+        if _evaluate(query, state.values, evaluator.index):
             total += m
     return total

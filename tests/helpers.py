@@ -9,6 +9,9 @@ Nothing here reuses the code paths under test:
   (rejection semantics); aggregating paths gives acceptance masses,
   transition tables, and marginals to pin the denotational interpreter
   against.
+* ``reference_wmc`` is the model counter in ``Fraction`` arithmetic that
+  the integer pass of ``NodeStore.wmc`` replaced, for diagrams too wide
+  to enumerate.
 * ``random_program`` builds seeded random ASTs for differential suites.
 * ``reference_compile`` compiles by the frame-carrying rules, in which
   every atom carries the frame of all the variables it does not write.
@@ -73,6 +76,41 @@ def brute_force_wmc(bdd: Bdd, weights: WeightFn, universe) -> Fraction:
             product *= wt if bit else wf
         total += product
     return total
+
+
+def reference_wmc(bdd: Bdd, weights: WeightFn, universe) -> Fraction:
+    """Weighted model count in ``Fraction`` arithmetic: one memoized
+    bottom-up pass in which an edge that skips universe levels multiplies
+    by their smoothing factors (weight-true + weight-false), taken as a
+    ratio of prefix products; a skipped factor of 0 zeroes the edge."""
+    uni = sorted(set(universe))
+    position = {var: i for i, var in enumerate(uni)}
+    prefix, zeros = [Fraction(1)], [0]
+    for var in uni:
+        wt, wf = weights.weight(var)
+        factor = wt + wf
+        prefix.append(prefix[-1] * factor if factor else prefix[-1])
+        zeros.append(zeros[-1] + (factor == 0))
+    memo: dict[int, Fraction] = {}
+
+    def edge(node: Bdd, i: int) -> Fraction:
+        if node.is_false:
+            return Fraction(0)
+        j = len(uni) if node.is_true else position[node.var]
+        if zeros[i] != zeros[j]:
+            return Fraction(0)
+        return prefix[j] / prefix[i] * count(node)
+
+    def count(node: Bdd) -> Fraction:
+        if node.is_true:
+            return Fraction(1)
+        if node.idx not in memo:
+            wt, wf = weights.weight(node.var)
+            k = position[node.var]
+            memo[node.idx] = wt * edge(node.high, k + 1) + wf * edge(node.low, k + 1)
+        return memo[node.idx]
+
+    return edge(bdd, 0)
 
 
 def random_bdd(rng: random.Random, store: NodeStore, variables, size: int = 12) -> Bdd:

@@ -294,6 +294,43 @@ class TestWmc:
             assert set(table) - set(before) <= {0, 1} | self.reachable(a)
             assert self.reachable(a) <= set(table)
 
+    def test_integer_pass_matches_fraction_reference(self):
+        # random weight sets over 8 variables: zero weights and (0, 0)
+        # levels, mixed denominators, integer weights above 1, and
+        # diagrams on part of the universe; each weight set and universe
+        # shares one table, read before it is extended
+        rng = random.Random(47)
+        store = fresh_store(8)
+        pool = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(5, 2)]
+        seen = {"zero level": 0, "absent": 0, "zero count": 0}
+        for _ in range(30):
+            universe = sorted(rng.sample(range(8), rng.randint(4, 8)))
+            weights = WeightFn(
+                {
+                    v: (0, 0) if rng.random() < 0.1 else (rng.choice(pool), rng.choice(pool))
+                    for v in universe
+                    if rng.random() < 0.8
+                }
+            )
+            seen["zero level"] += any(w == (0, 0) for _, w in weights.items())
+            table: dict = {}
+            for _ in range(8):
+                support = rng.sample(universe, rng.randint(1, len(universe)))
+                a = helpers.random_bdd(rng, store, support)
+                expected = helpers.reference_wmc(a, weights, universe)
+                assert expected == helpers.brute_force_wmc(a, weights, universe)
+                read = store.wmc(a, weights, universe, table=table)
+                extended = store.wmc(a, weights, universe, table=table, extend_table=True)
+                assert read == extended == expected
+                assert type(read) is Fraction and type(extended) is Fraction
+                count, scale = store.wmc(a, weights, universe, table=table, scaled=True)
+                assert type(count) is int and type(scale) is int
+                assert Fraction(count, scale) == expected
+                seen["absent"] += len(store.support(a)) < len(universe)
+                seen["zero count"] += expected == 0
+            assert all(type(v) is int for v in table.values())
+        assert all(seen.values()), seen
+
     @staticmethod
     def reachable(a):
         nodes, stack = set(), [a]
@@ -321,17 +358,6 @@ class TestWmc:
         weights = WeightFn({0: (Fraction(0), Fraction(1))})
         assert store.wmc(store.var(0), weights, {0}) == 0
         assert store.wmc(store.not_(store.var(0)), weights, {0}) == 1
-
-    def test_float_mode(self):
-        store = fresh_store(2)
-        weights = WeightFn(
-            {0: (Fraction(3, 5), Fraction(2, 5)), 1: (Fraction(1, 4), Fraction(3, 4))}
-        )
-        conj = store.apply("and", store.var(0), store.var(1))
-        exact = store.wmc(conj, weights, {0, 1})
-        approx = store.wmc(conj, weights, {0, 1}, as_float=True)
-        assert isinstance(approx, float)
-        assert abs(approx - float(exact)) < 1e-12
 
     def test_wmc_lemma_smoke(self):
         # independent conjunction factorizes; exhaustive versions run in

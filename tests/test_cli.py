@@ -8,6 +8,8 @@ import pytest
 
 import dippl
 import helpers
+from dippl import cli
+from dippl.bdd import NodeStore
 from dippl.cli import main
 from dippl.compiler import compile_program
 from dippl.generators import BenchSpec, gen_chain
@@ -24,6 +26,21 @@ y ~ flip(1/2);
 observe(x || y);
 if y { y ~ flip(1/2) } else { y := false }
 """
+
+
+def run_fresh(*args):
+    """``python -m dippl`` with ``args`` in a fresh interpreter, which has
+    the default recursion limit."""
+    src = os.path.dirname(os.path.dirname(dippl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dippl", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture
@@ -96,6 +113,21 @@ class TestInfer:
         assert main(["infer", chain_file, "--init", "x=maybe", "--query", "z"]) == 1
         assert main(["infer", chain_file, "--init", "q=true", "--query", "z"]) == 1
 
+    def test_flip_parameter_out_of_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad_flip.dippl"
+        path.write_text("x ~ flip(3/2)")
+        assert main(["infer", str(path), "--query", "x"]) == 1
+        assert "flip parameter 3/2 outside [0, 1]" in capsys.readouterr().err
+
+    def test_internal_value_error_is_internal(self, chain_file, monkeypatch, capsys):
+        # a ValueError the user's input did not cause is a fault of dippl
+        def interleaved_frame(program):
+            NodeStore(["a", "b", "c", "d"]).iff_cube({0: 2, 1: 3})
+
+        monkeypatch.setattr(cli, "compile_program", interleaved_frame)
+        assert main(["infer", chain_file, "--query", "z"]) == 3
+        assert "internal error: iff_cube constraints interleave" in capsys.readouterr().err
+
     def test_human_readable_output(self, chain_file, capsys):
         assert main(["infer", chain_file, "--query", "z"]) == 0
         out = capsys.readouterr().out
@@ -131,6 +163,14 @@ class TestOracleCommand:
         assert main(["oracle", str(path), "--query", "v0"]) == 3
         assert "13 variables exceed the cap of 12" in capsys.readouterr().err
 
+    def test_wide_expression_in_fresh_interpreter(self, tmp_path):
+        # a 1,500-term || over 5 variables nests 1,500 deep
+        path = tmp_path / "wide.dippl"
+        path.write_text("x := " + " || ".join(f"v{i % 5}" for i in range(1500)))
+        result = run_fresh("oracle", str(path), "--query", "x", "--init", "v3=true")
+        assert result.returncode == 0, result.stderr
+        assert "value: 1" in result.stdout
+
 
 class TestCompileCommand:
     def test_writes_artifacts(self, chain_file, tmp_path, capsys):
@@ -157,32 +197,14 @@ class TestCompileCommand:
         # has the default recursion limit
         path = tmp_path / "chain1200.dippl"
         path.write_text(gen_chain(1200, 3))
-        src = os.path.dirname(os.path.dirname(dippl.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "dippl", "compile", str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        result = run_fresh("compile", str(path))
         assert result.returncode == 0, result.stderr
 
     def test_wide_expression_in_fresh_interpreter(self, tmp_path):
         # operator chains nest as deep as they are long
         path = tmp_path / "wide.dippl"
         path.write_text("x := " + " || ".join(f"v{i}" for i in range(1500)))
-        src = os.path.dirname(os.path.dirname(dippl.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "dippl", "compile", str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        result = run_fresh("compile", str(path))
         assert result.returncode == 0, result.stderr
 
     def test_dot_styles_edges(self, tmp_path, capsys):
@@ -250,6 +272,14 @@ class TestBench:
              "--out", str(out)]
         )
         assert code == 1
+
+    def test_bad_det_and_size_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cases = (["--sizes", "2", "--det", "1.5"], ["--sizes", "2", "--det", "abc"], ["--sizes", "0"])
+        for case in cases:
+            assert main(["bench", "--family", "grid", *case, "--out", str(out)]) == 1
+            assert "internal" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sizes(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -6,7 +6,7 @@ import pytest
 import helpers
 from dippl import oracle
 from dippl.compiler import compile_program, state_cube
-from dippl.generators import gen_grid, grid_var
+from dippl.generators import gen_chain, gen_grid, grid_var
 from dippl.infer import (
     OracleTooLarge,
     Query,
@@ -109,6 +109,36 @@ class TestEventProb:
         value = event_prob(c, None, parse_expr("z"), as_float=True).value
         assert isinstance(value, float)
         assert abs(value - 0.75) < 1e-12
+
+
+class TestFloatFormatting:
+    """``as_float`` formats the exact answer; it is not another arithmetic."""
+
+    def test_float_mode_converts_the_exact_answer(self):
+        c = compiled(FOO_BAR2)
+        init = state_for(c)
+        asks = [
+            lambda as_float: transition_prob(c, init, state_for(c, x=True), as_float=as_float),
+            lambda as_float: event_prob(c, init, parse_expr("x"), as_float=as_float),
+            lambda as_float: event_prob(c, init, parse_expr("x && !y"), as_float=as_float),
+        ]
+        for ask in asks:
+            exact, approx = ask(False), ask(True)
+            assert isinstance(exact.value, Fraction)
+            for field in ("value", "numerator", "denominator"):
+                got = getattr(approx, field)
+                assert type(got) is float
+                assert got == float(getattr(exact, field))
+        exact_accept = accept_prob(c, init)
+        assert exact_accept == Fraction(2, 3)
+        assert accept_prob(c, init, as_float=True) == float(exact_accept)
+
+    def test_infeasible_stays_infeasible(self):
+        c = compiled("x ~ flip(1/3); observe(x && !x)")
+        result = event_prob(c, None, parse_expr("x"), as_float=True)
+        assert result.value is INFEASIBLE
+        assert (result.numerator, result.denominator) == (0.0, 0.0)
+        assert type(result.numerator) is float and type(result.denominator) is float
 
 
 class TestQueryProperties:
@@ -222,6 +252,31 @@ def _oracle_value(program, kind, init, arg):
     return oracle.output_marginal(program, init, arg)
 
 
+class TestIntegerCounts:
+    """Scaled int counts give the numerators and denominators of the
+    ``Fraction`` model counter, on diagrams too wide to enumerate."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [gen_chain(300, seed=2), *(gen_grid(6, d, seed=3) for d in ("0", "0.5", "0.9"))],
+        ids=["chain300", "grid6-0", "grid6-0.5", "grid6-0.9"],
+    )
+    def test_matches_fraction_reference(self, source):
+        c = compile_program(parse(source))
+        init = State.all_false(c.program.vars)
+        conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
+        universe = c.banks.universe
+        denominator = helpers.reference_wmc(conditioned, c.weights, universe)
+        assert denominator == accept_prob(c, init)
+        for name in (c.program.vars[-1], c.program.vars[len(c.program.vars) // 2]):
+            result = event_prob(c, init, parse_expr(name))
+            event = conditioned & c.store.var(c.banks.primed[name])
+            assert result.denominator == denominator
+            assert result.numerator == helpers.reference_wmc(event, c.weights, universe)
+            assert result.value == result.numerator / result.denominator
+            assert all(type(v) is int for v in c.exact_counts.values())
+
+
 class TestSharedCountTable:
     """Queries on one compiled program share a table of node counts."""
 
@@ -271,4 +326,3 @@ class TestSharedCountTable:
                 assert event_prob(c, init, parse_expr(grid_var(i, j))).value is not INFEASIBLE
         conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
         assert len(c.exact_counts) <= c.store.node_count(conditioned) + 2
-        assert not c.float_counts

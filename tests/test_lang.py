@@ -301,6 +301,17 @@ class TestValidate:
         assert [d.var for d in diagnostics] == ["x"]
 
 
+def run_in_fresh_interpreter(code: str):
+    """Run ``code`` in a fresh interpreter, which has the default
+    recursion limit."""
+    src = os.path.dirname(os.path.dirname(dippl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def test_long_chain_walks_in_fresh_interpreter():
     # sequences nest as deep as they are long; a fresh interpreter has the
     # default recursion limit
@@ -313,10 +324,18 @@ def test_long_chain_walks_in_fresh_interpreter():
         "assert [f.label for f in flips_of(body)] == list(range(program.flip_count))\n"
         "assert unparse(body) == unparse(program)\n"
     )
-    src = os.path.dirname(os.path.dirname(dippl.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    result = run_in_fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_wide_expression_round_trips_in_fresh_interpreter():
+    # a 1,500-term || over 5 variables nests 1,500 deep.  unparse must
+    # give back the source, so that parse(unparse(p)) is parse(source),
+    # which is p; == itself recurses on a tree this deep
+    code = (
+        "from dippl.lang import parse, unparse\n"
+        "source = 'x := ' + ' || '.join(f'v{i % 5}' for i in range(1500))\n"
+        "assert unparse(parse(source)) == source\n"
     )
+    result = run_in_fresh_interpreter(code)
     assert result.returncode == 0, result.stderr
