@@ -620,8 +620,7 @@ class NodeStore:
         *,
         table: Optional[dict] = None,
         extend_table: bool = False,
-        scaled: bool = False,
-    ) -> Union[Fraction, tuple[int, int]]:
+    ) -> Fraction:
         """Weighted model count of ``a`` over total assignments to ``universe``.
 
         Sums, over assignments satisfying ``a``, the product of the weight
@@ -633,10 +632,8 @@ class NodeStore:
         ``(t, f)`` are scaled by ``s = lcm(t.denominator, f.denominator)``,
         and a node's count is kept multiplied by the scales of the
         universe from the node's variable down.  The result is exact: the
-        scaled count of the root divided by ``S``, the product of all
-        scales, as a ``Fraction``; with ``scaled`` the pass returns the
-        pair ``(count * S, S)`` of ints instead, so that a ratio of two
-        counts cancels ``S`` unreduced.
+        scaled count of the root divided once by ``S``, the product of all
+        scales, as a ``Fraction``.
 
         A node's scaled count depends only on the node, ``weights`` and
         ``universe``.  ``table`` maps nodes to scaled counts computed
@@ -715,7 +712,7 @@ class NodeStore:
             raise SupportOutsideUniverse(
                 f"support variables {sorted(missing)} not in the universe"
             ) from None
-        return (count, scale) if scaled else Fraction(count, scale)
+        return Fraction(count, scale)
 
     # -- export ----------------------------------------------------------------
 

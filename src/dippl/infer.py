@@ -15,9 +15,8 @@ as an exception and never as probability zero.  Numerator and
 denominator are always reported alongside the ratio.
 
 Counts are exact.  ``NodeStore.wmc`` counts on Python ints scaled by a
-product ``S`` of the weights' denominators; a ratio takes the two scaled
-counts, whose ``S`` cancels, and numerator and denominator are divided
-by ``S`` for the report.  ``as_float`` is output formatting only: the
+product ``S`` of the weights' denominators and divides ``S`` out once,
+returning a ``Fraction``.  ``as_float`` is output formatting only: the
 query is answered exactly and ``float()`` of the value, numerator and
 denominator is returned.
 
@@ -111,17 +110,15 @@ def _init_state(compiled: CompiledProgram, state: Optional[State]) -> State:
     return state
 
 
-def _count(compiled: CompiledProgram, bdd, *, extend_table: bool) -> tuple[int, int]:
-    """Scaled WMC ``(count * S, S)`` of ``bdd`` through the program's
-    shared table; only passes over conditioned diagrams (``phi & <s>``)
-    extend it."""
+def _count(compiled: CompiledProgram, bdd, *, extend_table: bool) -> Fraction:
+    """WMC of ``bdd`` through the program's shared table; only passes
+    over conditioned diagrams (``phi & <s>``) extend it."""
     return compiled.store.wmc(
         bdd,
         compiled.weights,
         compiled.banks.universe,
         table=compiled.exact_counts,
         extend_table=extend_table,
-        scaled=True,
     )
 
 
@@ -129,15 +126,13 @@ def _ratio(
     compiled: CompiledProgram, numerator_bdd, denominator_bdd, *, as_float: bool
 ) -> InferenceResult:
     begin = time.perf_counter()
-    denominator, scale = _count(compiled, denominator_bdd, extend_table=True)
+    denominator = _count(compiled, denominator_bdd, extend_table=True)
     if denominator == 0:
         value: Value = INFEASIBLE
-        numerator = 0
+        numerator = Fraction(0)
     else:
-        numerator, _ = _count(compiled, numerator_bdd, extend_table=False)
-        # both counts carry the same scale, which the ratio cancels
-        value = Fraction(numerator, denominator)
-    numerator, denominator = Fraction(numerator, scale), Fraction(denominator, scale)
+        numerator = _count(compiled, numerator_bdd, extend_table=False)
+        value = numerator / denominator
     if as_float:
         if value is not INFEASIBLE:
             value = float(value)
@@ -157,7 +152,7 @@ def accept_prob(
     conditioned = compiled.phi & state_cube(
         from_state, compiled.banks.unprimed, compiled.store
     )
-    value = Fraction(*_count(compiled, conditioned, extend_table=True))
+    value = _count(compiled, conditioned, extend_table=True)
     return float(value) if as_float else value
 
 
