@@ -18,14 +18,15 @@ import pathlib
 import time
 
 from dippl import State, compile_program, event_prob, output_marginal, parse, parse_expr
-from dippl.generators import gen_chain, gen_grid, query_var
+from dippl.generators import BenchSpec
 
 print("interpreter vs compiler on growing chains (seconds):")
 print(f"  {'n':>3} {'paths':>6} {'interpret':>10} {'compile+query':>14}")
 for n in (6, 8, 10, 12):
-    program = parse(gen_chain(n, seed=7))
+    spec = BenchSpec("chain", n, seed=7)
+    program = parse(spec.source())
     init = State.all_false(program.vars)
-    query = parse_expr(query_var("chain", n))
+    query = parse_expr(spec.query_var())
 
     begin = time.perf_counter()
     compiled = compile_program(program)
@@ -43,10 +44,11 @@ print()
 print("chain diagrams grow affinely; querying length 150 is immediate:")
 rows = []
 for n in range(10, 151, 10):
-    program = parse(gen_chain(n, seed=7))
+    spec = BenchSpec("chain", n, seed=7)
+    program = parse(spec.source())
     begin = time.perf_counter()
     compiled = compile_program(program)
-    value = event_prob(compiled, None, parse_expr(query_var("chain", n))).value
+    value = event_prob(compiled, None, parse_expr(spec.query_var())).value
     elapsed_ms = (time.perf_counter() - begin) * 1000
     rows.append({"n": n, "nodes": compiled.stats.node_count,
                  "ms": round(elapsed_ms, 2), "probability": float(value)})
@@ -62,7 +64,7 @@ print(f"  wrote {len(rows)} rows to {out_path.name}")
 print()
 print("grid compilation vs fraction of flips made deterministic (k=4):")
 for det in (0, 0.25, 0.5, 0.75, 0.9):
-    program = parse(gen_grid(4, det, seed=11))
+    program = parse(BenchSpec("grid", 4, det, seed=11).source())
     best = min(
         (lambda t0: (compile_program(program), time.perf_counter() - t0)[1])(
             time.perf_counter()

@@ -282,37 +282,27 @@ class NodeStore:
             acc = self._mk(var, 0, acc) if literals[var] else self._mk(var, acc, 0)
         return self._wrap(acc)
 
-    def iff_cube(
-        self, pairs: Mapping[int, int], literals: Mapping[int, bool] = ()
-    ) -> Bdd:
-        """Conjunction of biconditionals ``a <=> b`` plus fixed literals.
+    def iff_cube(self, pairs: Mapping[int, int]) -> Bdd:
+        """Conjunction of biconditionals ``a <=> b``.
 
         Built bottom-up in a single pass, which requires the constraints
         to be independent: the variable span of each biconditional must
-        not interleave with another constraint's span.  This holds for
-        frame formulas over banked variables (the intended use); a
-        ValueError reports any interleaving.
+        not interleave with another's.  This holds for frame formulas
+        over banked variables (the intended use); a ValueError reports
+        any interleaving.
         """
-        spans: list[tuple[int, int, int]] = []  # (low, high, kind/payload)
+        spans: list[tuple[int, int]] = []
         for a, b in pairs.items():
             self._check_var(a)
             self._check_var(b)
-            spans.append((a, b, -1) if a < b else ((b, a, -1)))
-        for var, value in dict(literals).items():
-            self._check_var(var)
-            spans.append((var, var, 1 if value else 0))
+            spans.append((a, b) if a < b else (b, a))
         spans.sort()
-        for (_, prev_hi, _), (cur_lo, _, _) in zip(spans, spans[1:]):
+        for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
             if cur_lo <= prev_hi:
                 raise ValueError("iff_cube constraints interleave in the variable order")
         acc = 1
-        for low, high, kind in reversed(spans):
-            if kind < 0:
-                acc = self._mk(low, self._mk(high, acc, 0), self._mk(high, 0, acc))
-            elif kind:
-                acc = self._mk(low, 0, acc)
-            else:
-                acc = self._mk(low, acc, 0)
+        for low, high in reversed(spans):
+            acc = self._mk(low, self._mk(high, acc, 0), self._mk(high, 0, acc))
         return self._wrap(acc)
 
     def ite(self, cond: Bdd, then_case: Bdd, else_case: Bdd) -> Bdd:

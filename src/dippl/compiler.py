@@ -82,22 +82,9 @@ from .lang import (
     UnknownVariable,
     VarRef,
     flips_of,
+    seq_atoms,
 )
 from .oracle import State
-
-
-def _seq_spine(s: Stmt) -> list[Stmt]:
-    """Non-Seq statements of a sequence, in execution order."""
-    atoms: list[Stmt] = []
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.second)
-            stack.append(node.first)
-        else:
-            atoms.append(node)
-    return atoms
 
 
 @dataclass(frozen=True)
@@ -120,14 +107,14 @@ class VarBanks:
         return tuple(self.flip_var[label] for label in sorted(self.flip_var))
 
 
-def allocate_banks(program: Program, *, op_cache: bool = True) -> tuple[NodeStore, VarBanks]:
+def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     """Create a store whose global order interleaves flips with their targets."""
     # flips grouped by target; groups in order of their first flip label
     flips_by_target: dict[str, list[Flip]] = {}
     for flip in sorted(flips_of(program.body), key=lambda f: f.label):
         flips_by_target.setdefault(flip.target, []).append(flip)
 
-    store = NodeStore(op_cache=op_cache)
+    store = NodeStore()
     unprimed: dict[str, int] = {}
     primed: dict[str, int] = {}
     double_primed: dict[str, int] = {}
@@ -263,7 +250,7 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> tuple[Bdd, We
         if isinstance(s, Seq):
             # composition is associative; compose neighbours pairwise,
             # level by level (see the module docstring for why)
-            parts = [rec(atom) for atom in _seq_spine(s)]
+            parts = [rec(atom) for atom in seq_atoms(s)]
             while len(parts) > 1:
                 paired = [
                     _compose(parts[j], parts[j + 1], banks, store)
@@ -327,10 +314,10 @@ class CompiledProgram:
         return self.phi.store
 
 
-def compile_program(program: Program, *, op_cache: bool = True) -> CompiledProgram:
+def compile_program(program: Program) -> CompiledProgram:
     """Allocate variable banks and compile the whole program body."""
     begin = time.perf_counter()
-    store, banks = allocate_banks(program, op_cache=op_cache)
+    store, banks = allocate_banks(program)
     phi, weights = compile_stmt(program.body, banks, store)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     stats = CompileStats(

@@ -160,17 +160,6 @@ def gen_grid(k: int, determinism: Union[Fraction, float, str] = 0, *, seed: int)
     return ";\n".join(lines) + "\n"
 
 
-def generate(family: str, size: int, determinism=0, *, seed: int) -> str:
-    """Dispatch by family name (chain, grid, or ladder)."""
-    if family == "chain":
-        return gen_chain(size, seed)
-    if family == "grid":
-        return gen_grid(size, determinism, seed=seed)
-    if family == "ladder":
-        return gen_ladder(size)
-    raise ValueError(f"unknown family {family!r}")
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """One benchmark cell; equal specs always yield byte-identical text."""
@@ -190,16 +179,14 @@ class BenchSpec:
             raise ValueError("determinism must lie in [0, 1]")
 
     def source(self) -> str:
-        return generate(self.family, self.size, self.determinism, seed=self.seed)
+        if self.family == "chain":
+            return gen_chain(self.size, self.seed)
+        if self.family == "grid":
+            return gen_grid(self.size, self.determinism, seed=self.seed)
+        return gen_ladder(self.size)
 
     def query_var(self) -> str:
-        return query_var(self.family, self.size)
-
-
-def query_var(family: str, size: int) -> str:
-    """The conventional query variable: the generated program's sink."""
-    if family == "chain" or family == "ladder":
-        return f"x{size}"
-    if family == "grid":
-        return grid_var(size - 1, size - 1)
-    raise ValueError(f"unknown family {family!r}")
+        """The conventional query variable: the generated program's sink."""
+        if self.family == "grid":
+            return grid_var(self.size - 1, self.size - 1)
+        return f"x{self.size}"

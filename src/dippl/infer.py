@@ -14,11 +14,10 @@ that outcome is reported as the first-class ``INFEASIBLE`` value, never
 as an exception and never as probability zero.  Numerator and
 denominator are always reported alongside the ratio.
 
-Counts are exact.  ``NodeStore.wmc`` counts on Python ints scaled by a
-product ``S`` of the weights' denominators and divides ``S`` out once,
-returning a ``Fraction``.  ``as_float`` is output formatting only: the
-query is answered exactly and ``float()`` of the value, numerator and
-denominator is returned.
+Answers are exact ``Fraction``s.  ``NodeStore.wmc`` counts on Python
+ints scaled by a product ``S`` of the weights' denominators and divides
+``S`` out once.  A caller that wants a decimal applies ``float()`` to
+the answer; there is no second arithmetic.
 
 A node's scaled count depends only on the node, the weights and the
 universe, and all three are fixed for a ``CompiledProgram``, so the
@@ -46,13 +45,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import oracle
+from .bdd import Bdd
 from .compiler import CompiledProgram, compile_expr, compile_program, state_cube
 from .lang import Expr, Program, TRUE
 from .oracle import INFEASIBLE, InfeasibleEvidence, State
 
 ORACLE_VAR_LIMIT = 12
 
-Value = Union[Fraction, float, InfeasibleEvidence]
+Value = Union[Fraction, InfeasibleEvidence]
 
 
 class OracleTooLarge(Exception):
@@ -84,7 +84,6 @@ class Query:
 
 @dataclass(frozen=True)
 class InferenceStats:
-    phi_nodes: int
     query_ms: float
 
 
@@ -93,8 +92,8 @@ class InferenceResult:
     """A WMC ratio with its raw numerator/denominator for auditability."""
 
     value: Value
-    numerator: Union[Fraction, float]
-    denominator: Union[Fraction, float]
+    numerator: Fraction
+    denominator: Fraction
     stats: InferenceStats
 
     @property
@@ -102,15 +101,17 @@ class InferenceResult:
         return self.value is INFEASIBLE
 
 
-def _init_state(compiled: CompiledProgram, state: Optional[State]) -> State:
-    if state is None:
-        return State.all_false(compiled.program.vars)
-    if set(state.vars) != set(compiled.program.vars):
+def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
+    """``phi & <s>``: the relation restricted to the input state
+    ``from_state`` (all-false when missing)."""
+    if from_state is None:
+        from_state = State.all_false(compiled.program.vars)
+    elif set(from_state.vars) != set(compiled.program.vars):
         raise ValueError("state domain differs from the program's variables")
-    return state
+    return compiled.phi & state_cube(from_state, compiled.banks.unprimed, compiled.store)
 
 
-def _count(compiled: CompiledProgram, bdd, *, extend_table: bool) -> Fraction:
+def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fraction:
     """WMC of ``bdd`` through the program's shared table; only passes
     over conditioned diagrams (``phi & <s>``) extend it."""
     return compiled.store.wmc(
@@ -122,9 +123,7 @@ def _count(compiled: CompiledProgram, bdd, *, extend_table: bool) -> Fraction:
     )
 
 
-def _ratio(
-    compiled: CompiledProgram, numerator_bdd, denominator_bdd, *, as_float: bool
-) -> InferenceResult:
+def _ratio(compiled: CompiledProgram, numerator_bdd: Bdd, denominator_bdd: Bdd) -> InferenceResult:
     begin = time.perf_counter()
     denominator = _count(compiled, denominator_bdd, extend_table=True)
     if denominator == 0:
@@ -133,60 +132,35 @@ def _ratio(
     else:
         numerator = _count(compiled, numerator_bdd, extend_table=False)
         value = numerator / denominator
-    if as_float:
-        if value is not INFEASIBLE:
-            value = float(value)
-        numerator, denominator = float(numerator), float(denominator)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
-    stats = InferenceStats(
-        phi_nodes=compiled.stats.node_count, query_ms=elapsed_ms
-    )
-    return InferenceResult(value, numerator, denominator, stats)
+    return InferenceResult(value, numerator, denominator, InferenceStats(query_ms=elapsed_ms))
 
 
-def accept_prob(
-    compiled: CompiledProgram, from_state: Optional[State] = None, *, as_float: bool = False
-) -> Union[Fraction, float]:
+def accept_prob(compiled: CompiledProgram, from_state: Optional[State] = None) -> Fraction:
     """Probability that no observation fails when run from ``from_state``."""
-    from_state = _init_state(compiled, from_state)
-    conditioned = compiled.phi & state_cube(
-        from_state, compiled.banks.unprimed, compiled.store
-    )
-    value = _count(compiled, conditioned, extend_table=True)
-    return float(value) if as_float else value
+    return _count(compiled, _conditioned(compiled, from_state), extend_table=True)
 
 
 def transition_prob(
-    compiled: CompiledProgram,
-    from_state: Optional[State],
-    to_state: State,
-    *,
-    as_float: bool = False,
+    compiled: CompiledProgram, from_state: Optional[State], to_state: State
 ) -> InferenceResult:
     """Conditional probability of ending in exactly ``to_state``."""
-    from_state = _init_state(compiled, from_state)
-    store, banks = compiled.store, compiled.banks
-    conditioned = compiled.phi & state_cube(from_state, banks.unprimed, store)
-    numerator_bdd = conditioned & state_cube(to_state, banks.primed, store)
-    return _ratio(compiled, numerator_bdd, conditioned, as_float=as_float)
+    conditioned = _conditioned(compiled, from_state)
+    target = state_cube(to_state, compiled.banks.primed, compiled.store)
+    return _ratio(compiled, conditioned & target, conditioned)
 
 
 def event_prob(
-    compiled: CompiledProgram,
-    from_state: Optional[State],
-    event: Expr,
-    *,
-    as_float: bool = False,
+    compiled: CompiledProgram, from_state: Optional[State], event: Expr
 ) -> InferenceResult:
     """Conditional probability that ``event`` holds in the output state."""
-    from_state = _init_state(compiled, from_state)
     store, banks = compiled.store, compiled.banks
     event_bdd = store.rename(
         {banks.unprimed[x]: banks.primed[x] for x in banks.unprimed},
         compile_expr(event, banks, store),
     )
-    conditioned = compiled.phi & state_cube(from_state, banks.unprimed, store)
-    return _ratio(compiled, conditioned & event_bdd, conditioned, as_float=as_float)
+    conditioned = _conditioned(compiled, from_state)
+    return _ratio(compiled, conditioned & event_bdd, conditioned)
 
 
 def check_oracle_cap(program: Program):

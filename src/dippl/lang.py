@@ -29,8 +29,9 @@ Variables are declared implicitly at first mention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Union
 
 
@@ -55,13 +56,56 @@ class UnknownVariable(Exception):
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarRef:
+class _Node:
+    """Base of the AST node classes: structural ``==`` and ``hash``.
+
+    Both compare the node type and every field, flip labels included.
+    They walk the tree with an explicit stack, since operator chains and
+    sequences nest as deep as they are long.
+    """
+
+    _field_names: tuple[str, ...] = ()
+
+    def _tokens(self) -> Iterator:
+        # each node's type, then its non-node field values; the types fix
+        # every node's arity, so equal streams mean equal trees
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield type(node)
+            for name in node._field_names:
+                value = getattr(node, name)
+                if isinstance(value, _Node):
+                    stack.append(value)
+                else:
+                    yield value
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        end = object()
+        return all(
+            a == b for a, b in zip_longest(self._tokens(), other._tokens(), fillvalue=end)
+        )
+
+    def __hash__(self):
+        return hash(tuple(self._tokens()))
+
+
+def _node(cls):
+    """An immutable AST node class with ``_Node``'s ``==`` and ``hash``."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    return cls
+
+
+@_node
+class VarRef(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Node):
     value: bool
 
 
@@ -69,19 +113,19 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
@@ -89,19 +133,19 @@ class Or:
 Expr = Union[VarRef, Const, Not, And, Or]
 
 
-@dataclass(frozen=True)
-class Skip:
+@_node
+class Skip(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+@_node
+class Assign(_Node):
     target: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Flip:
+@_node
+class Flip(_Node):
     """``target ~ flip(theta)``.
 
     ``label`` is not part of the concrete syntax; the parser numbers flips
@@ -119,20 +163,20 @@ class Flip:
             raise ValueError(f"flip parameter {self.theta} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class If:
+@_node
+class If(_Node):
     cond: Expr
     then_branch: "Stmt"
     else_branch: "Stmt"
 
 
-@dataclass(frozen=True)
-class Observe:
+@_node
+class Observe(_Node):
     cond: Expr
 
 
-@dataclass(frozen=True)
-class Seq:
+@_node
+class Seq(_Node):
     first: "Stmt"
     second: "Stmt"
 
@@ -172,6 +216,27 @@ def _walk_stmts(s: Stmt) -> Iterator[Stmt]:
         elif isinstance(node, If):
             stack.append(node.else_branch)
             stack.append(node.then_branch)
+
+
+def seq_atoms(s: Stmt) -> list[Stmt]:
+    """The non-``Seq`` statements of a sequence, in execution order.
+
+    ``Seq`` nodes nested on either side are flattened (sequencing is
+    associative); ``s`` itself is the only atom when it is not a ``Seq``.
+    An explicit stack, since sequences nest as deep as they are long.
+    """
+    if not isinstance(s, Seq):
+        return [s]
+    atoms: list[Stmt] = []
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.second)
+            stack.append(node.first)
+        else:
+            atoms.append(node)
+    return atoms
 
 
 def flips_of(s: Stmt) -> list[Flip]:
@@ -501,19 +566,8 @@ def _expr_text(e: Expr) -> str:
     return "".join(out)
 
 
-def _seq_atoms(s: Stmt) -> list[Stmt]:
-    atoms = []
-    while isinstance(s, Seq):
-        atoms.append(s.first)
-        s = s.second
-    atoms.append(s)
-    return atoms
-
-
 def _stmt_text(s: Stmt, separator: str) -> str:
-    if isinstance(s, Seq):
-        return separator.join(_atom_text(a) for a in _seq_atoms(s))
-    return _atom_text(s)
+    return separator.join(_atom_text(a) for a in seq_atoms(s))
 
 
 def _atom_text(s: Stmt) -> str:
@@ -530,8 +584,7 @@ def _atom_text(s: Stmt) -> str:
             f"if {_expr_text(s.cond)} {{ {_stmt_text(s.then_branch, '; ')} }}"
             f" else {{ {_stmt_text(s.else_branch, '; ')} }}"
         )
-    # a Seq that is not part of an enclosing sequence still flattens
-    return _stmt_text(s, "; ")
+    raise TypeError(f"not a statement: {s!r}")
 
 
 def unparse(program: Program | Stmt) -> str:

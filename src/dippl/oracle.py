@@ -21,10 +21,16 @@ yields the bottom distribution (every execution path was rejected),
 which queries surface as the first-class ``INFEASIBLE`` result, never as
 probability zero.
 
-This interpreter enumerates the state space, so it is exponential in the
-number of program variables.  It is the ground-truth oracle that the
-symbolic compiler is differentially tested against; it is only meant to
-be correct and exact, not fast, and is capped at 12 variables by the
+The interpreter computes this without a division per step: it carries
+the unnormalized mass ``A[s](sigma) * T[s](out|sigma)`` through the
+statements of a sequence one at a time and normalizes once at the end.
+It recurses only as deep as ``if`` statements nest, not once per
+statement of a sequence.
+
+This interpreter enumerates the states it reaches, so it is exponential
+in the number of program variables.  It is the ground-truth oracle that
+the symbolic compiler is differentially tested against; it is only meant
+to be correct and exact, not fast, and is capped at 12 variables by the
 harnesses that drive it.
 """
 
@@ -43,7 +49,6 @@ from .lang import (
     Or,
     Program,
     Stmt,
-    Seq,
     Skip,
     Assign,
     Flip,
@@ -51,6 +56,7 @@ from .lang import (
     Observe,
     UnknownVariable,
     VarRef,
+    seq_atoms,
 )
 
 
@@ -268,124 +274,98 @@ def _evaluate(e: Expr, values: tuple[bool, ...], index: Mapping[str, int]) -> bo
 
 
 class _Evaluator:
-    """One top-level semantic evaluation: state space plus memo tables.
+    """One top-level semantic evaluation: reached states plus a memo table.
 
-    Memoization is per (statement node, input state); tables live only as
-    long as the evaluation, so concurrent evaluations never share state.
+    Memoization is per (statement node, input state); the table lives only
+    as long as the evaluation, so concurrent evaluations never share state.
     """
 
     def __init__(self, vars: tuple[str, ...]):
         self.vars = vars
         self.index = {name: i for i, name in enumerate(vars)}
-        self.states = list(all_states(vars))
-        self._interned = {s.values: s for s in self.states}
-        self._memo_t: dict[tuple[int, State], StateDistribution] = {}
-        self._memo_a: dict[tuple[int, State], Fraction] = {}
+        # the states reached so far, so that each is built once
+        self._interned: dict[tuple[bool, ...], State] = {}
+        self._memo: dict[tuple[int, State], dict[State, Fraction]] = {}
+        # whether an observation has rejected any mass; until one does,
+        # every mass sums to exactly 1
+        self._rejected = False
 
     def _replace(self, state: State, pos: int, value: bool) -> State:
         values = state.values
         if values[pos] == value:
             return state
-        return self._interned[values[:pos] + (value,) + values[pos + 1 :]]
+        values = values[:pos] + (value,) + values[pos + 1 :]
+        reached = self._interned.get(values)
+        if reached is None:
+            reached = self._interned[values] = State(self.vars, values)
+        return reached
 
     def transition(self, stmt: Stmt, state: State) -> StateDistribution:
-        key = (id(stmt), state)
-        cached = self._memo_t.get(key)
-        if cached is not None:
-            return cached
-        result = self._transition(stmt, state)
-        self._memo_t[key] = result
-        return result
-
-    def _transition(self, stmt: Stmt, state: State) -> StateDistribution:
-        if isinstance(stmt, Skip):
-            return StateDistribution.point(state)
-        if isinstance(stmt, Assign):
-            value = _evaluate(stmt.rhs, state.values, self.index)
-            return StateDistribution.point(
-                self._replace(state, self.index[stmt.target], value)
-            )
-        if isinstance(stmt, Flip):
-            pos = self.index[stmt.target]
-            theta = stmt.theta
-            return StateDistribution(
-                {
-                    self._replace(state, pos, True): theta,
-                    self._replace(state, pos, False): _ONE - theta,
-                }
-            )
-        if isinstance(stmt, Observe):
-            if _evaluate(stmt.cond, state.values, self.index):
-                return StateDistribution.point(state)
-            return _BOTTOM
-        if isinstance(stmt, If):
-            branch = (
-                stmt.then_branch
-                if _evaluate(stmt.cond, state.values, self.index)
-                else stmt.else_branch
-            )
-            return self.transition(branch, state)
-        if isinstance(stmt, Seq):
-            return self._transition_seq(stmt, state)
-        raise TypeError(f"not a statement: {stmt!r}")
-
-    def _transition_seq(self, stmt: Seq, state: State) -> StateDistribution:
-        first_dist = self.transition(stmt.first, state)
-        if first_dist.is_bottom:
-            return _BOTTOM
-        mass = first_dist.mass
-        numerator: dict[State, Fraction] = {}
-        denominator = _ZERO
-        for tau in self.states:
-            coeff = mass.get(tau)
-            if not coeff:
-                continue
-            accept = self.accepting(stmt.second, tau)
-            if not accept:
-                continue
-            coeff = coeff * accept
-            denominator += coeff
-            for out, m in self.transition(stmt.second, tau).mass.items():
-                acc = numerator.get(out)
-                numerator[out] = coeff * m if acc is None else acc + coeff * m
-        if not denominator:
-            return _BOTTOM
-        return StateDistribution({s: m / denominator for s, m in numerator.items()})
+        mass = self.mass(stmt, state)
+        if self._rejected:
+            total = sum(mass.values(), _ZERO)
+            if not total:
+                return _BOTTOM
+            mass = {s: m / total for s, m in mass.items()}
+        return StateDistribution(mass)
 
     def accepting(self, stmt: Stmt, state: State) -> Fraction:
+        return sum(self.mass(stmt, state).values(), _ZERO)
+
+    def mass(self, stmt: Stmt, state: State) -> dict[State, Fraction]:
+        """Probability of ending in each output state with no observation
+        failed: ``A[stmt](state) * T[stmt](out|state)``, zero entries
+        left out."""
         key = (id(stmt), state)
-        cached = self._memo_a.get(key)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
-        result = self._accepting(stmt, state)
-        self._memo_a[key] = result
-        return result
+        mass = {state: _ONE}
+        for atom in seq_atoms(stmt):
+            mass = self._step(atom, mass)
+            if not mass:
+                break
+        self._memo[key] = mass
+        return mass
 
-    def _accepting(self, stmt: Stmt, state: State) -> Fraction:
-        if isinstance(stmt, (Skip, Assign, Flip)):
-            return _ONE
-        if isinstance(stmt, Observe):
-            return _ONE if _evaluate(stmt.cond, state.values, self.index) else _ZERO
-        if isinstance(stmt, If):
-            branch = (
-                stmt.then_branch
-                if _evaluate(stmt.cond, state.values, self.index)
-                else stmt.else_branch
-            )
-            return self.accepting(branch, state)
-        if isinstance(stmt, Seq):
-            first_accept = self.accepting(stmt.first, state)
-            if not first_accept:
-                return _ZERO
-            mass = self.transition(stmt.first, state).mass
-            total = _ZERO
-            for tau in self.states:
-                coeff = mass.get(tau)
-                if not coeff:
-                    continue
-                total += coeff * self.accepting(stmt.second, tau)
-            return first_accept * total
-        raise TypeError(f"not a statement: {stmt!r}")
+    def _step(self, atom: Stmt, mass: dict[State, Fraction]) -> dict[State, Fraction]:
+        """``mass`` carried through one non-``Seq`` statement."""
+        if isinstance(atom, Skip):
+            return mass
+        if isinstance(atom, Observe):
+            kept = {
+                s: m for s, m in mass.items() if _evaluate(atom.cond, s.values, self.index)
+            }
+            if len(kept) < len(mass):
+                self._rejected = True
+            return kept
+        out: dict[State, Fraction] = {}
+        if isinstance(atom, Assign):
+            pos = self.index[atom.target]
+            for s, m in mass.items():
+                t = self._replace(s, pos, _evaluate(atom.rhs, s.values, self.index))
+                out[t] = out[t] + m if t in out else m
+        elif isinstance(atom, Flip):
+            pos = self.index[atom.target]
+            arms = [(v, w) for v, w in ((True, atom.theta), (False, _ONE - atom.theta)) if w]
+            for s, m in mass.items():
+                for value, k in arms:
+                    t = self._replace(s, pos, value)
+                    k = k if m is _ONE else m * k
+                    out[t] = out[t] + k if t in out else k
+        elif isinstance(atom, If):
+            for s, m in mass.items():
+                branch = (
+                    atom.then_branch
+                    if _evaluate(atom.cond, s.values, self.index)
+                    else atom.else_branch
+                )
+                for t, k in self.mass(branch, s).items():
+                    k = k if m is _ONE else m * k
+                    out[t] = out[t] + k if t in out else k
+        else:
+            raise TypeError(f"not a statement: {atom!r}")
+        return out
 
 
 def _body_and_state(
@@ -422,11 +402,9 @@ def output_marginal(
     """
     body, init = _body_and_state(program, init)
     evaluator = _Evaluator(init.vars)
-    dist = evaluator.transition(body, init)
-    if dist.is_bottom:
+    mass = evaluator.mass(body, init)
+    total = sum(mass.values(), _ZERO)
+    if not total:
         return INFEASIBLE
-    total = _ZERO
-    for state, m in dist.mass.items():
-        if _evaluate(query, state.values, evaluator.index):
-            total += m
-    return total
+    hits = (m for s, m in mass.items() if _evaluate(query, s.values, evaluator.index))
+    return sum(hits, _ZERO) / total

@@ -15,14 +15,20 @@ Nothing here reuses the code paths under test:
 * ``random_program`` builds seeded random ASTs for differential suites.
 * ``reference_compile`` compiles by the frame-carrying rules, in which
   every atom carries the frame of all the variables it does not write.
+* ``run_fresh`` runs Python in a fresh interpreter, for the walks that
+  must not depend on a raised recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import dippl
 from dippl.bdd import Bdd, NodeStore, WeightFn
 from dippl.lang import (
     And,
@@ -354,6 +360,17 @@ def reference_compile(stmt: Stmt, banks, store: NodeStore) -> tuple[Bdd, WeightF
 
     phi = rec(stmt)
     return phi, WeightFn(weights)
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, which has the default
+    recursion limit, importing the dippl under test."""
+    src = os.path.dirname(os.path.dirname(dippl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,10 @@ class TestRename:
 class TestIffCube:
     def test_matches_apply_route(self):
         store = fresh_store(6)
-        built = store.iff_cube({0: 1, 4: 5}, {2: True, 3: False})
+        built = store.iff_cube({0: 1, 3: 2, 4: 5})
         manual = store.true
-        for formula in (
-            store.apply("iff", store.var(0), store.var(1)),
-            store.cube({2: True, 3: False}),
-            store.apply("iff", store.var(4), store.var(5)),
-        ):
-            manual = store.apply("and", manual, formula)
+        for a, b in ((0, 1), (2, 3), (4, 5)):
+            manual = store.apply("and", manual, store.apply("iff", store.var(a), store.var(b)))
         assert built == manual
 
     def test_wide_pair_spanning_unconstrained_var(self):
@@ -224,7 +220,7 @@ class TestIffCube:
         with pytest.raises(ValueError):
             store.iff_cube({0: 2, 1: 3})
         with pytest.raises(ValueError):
-            store.iff_cube({0: 2}, {1: True})
+            store.iff_cube({0: 3, 1: 2})
 
 
 class TestWmc:

@@ -1,14 +1,11 @@
 import csv
 import json
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import pytest
 
-import dippl
 import helpers
-from dippl import cli
+from dippl import cli, oracle
 from dippl.bdd import NodeStore
 from dippl.cli import main
 from dippl.compiler import compile_program
@@ -26,21 +23,6 @@ y ~ flip(1/2);
 observe(x || y);
 if y { y ~ flip(1/2) } else { y := false }
 """
-
-
-def run_fresh(*args):
-    """``python -m dippl`` with ``args`` in a fresh interpreter, which has
-    the default recursion limit."""
-    src = os.path.dirname(os.path.dirname(dippl.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "dippl", *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
 
 
 @pytest.fixture
@@ -84,14 +66,27 @@ class TestInfer:
         assert code == 0
         assert report["value"] == "1/2"
 
-    def test_float_mode(self, chain_file, capsys):
-        code, report = run_json(
-            capsys, ["infer", chain_file, "--query", "z", "--json", "--float"]
-        )
-        assert code == 0
-        assert report["value"] is None
-        assert abs(report["decimal"] - 0.75) < 1e-12
-        assert report["mode"] == "float"
+    def test_float_mode(self, bar2_file, capsys):
+        # --float formats the exact answer; it is not another arithmetic
+        for query in ("y", "x && !y", "true"):
+            argv = ["infer", bar2_file, "--query", query, "--json"]
+            _, exact = run_json(capsys, argv)
+            code, report = run_json(capsys, [*argv, "--float"])
+            assert code == 0
+            assert report["value"] is None
+            assert report["decimal"] == float(Fraction(exact["value"]))
+            for field in ("numerator", "denominator"):
+                assert report[field] == str(float(Fraction(exact[field])))
+            assert report["mode"] == "float"
+
+    def test_float_mode_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "bad.dippl"
+        path.write_text("x ~ flip(1/3); observe(x && !x)")
+        code, report = run_json(capsys, ["infer", str(path), "--query", "x", "--json", "--float"])
+        assert code == 2
+        assert report["infeasible"] is True
+        assert report["value"] is None and report["decimal"] is None
+        assert (report["numerator"], report["denominator"]) == ("0.0", "0.0")
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.dippl"
@@ -149,6 +144,40 @@ class TestOracleCommand:
         assert report["check"] == "equal"
         assert report["compiled_value"] == "3/4"
 
+    def test_check_enumerates_once(self, bar2_file, monkeypatch, capsys):
+        calls = []
+        enumerate_states = oracle.output_marginal
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_states(*args)
+
+        monkeypatch.setattr(oracle, "output_marginal", counted)
+        monkeypatch.setattr(cli, "output_marginal", counted)
+        code, report = run_json(
+            capsys, ["oracle", bar2_file, "--query", "y", "--check", "--json"]
+        )
+        assert code == 0 and report["check"] == "equal"
+        assert len(calls) == 1
+
+    def test_check_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "bad.dippl"
+        path.write_text("x ~ flip(1/3); observe(x && !x)")
+        code, report = run_json(
+            capsys, ["oracle", str(path), "--query", "x", "--check", "--json"]
+        )
+        assert code == 2
+        assert report["check"] == "equal"
+        assert report["infeasible"] is True and report["compiled_value"] is None
+
+    def test_check_mismatch_is_internal(self, chain_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "output_marginal", lambda *args: Fraction(1, 2))
+        code, report = run_json(
+            capsys, ["oracle", chain_file, "--query", "z", "--check", "--json"]
+        )
+        assert code == 3
+        assert report["check"] == "MISMATCH" and report["compiled_value"] == "3/4"
+
     def test_bar2_init(self, bar2_file, capsys):
         code, report = run_json(
             capsys,
@@ -167,9 +196,21 @@ class TestOracleCommand:
         # a 1,500-term || over 5 variables nests 1,500 deep
         path = tmp_path / "wide.dippl"
         path.write_text("x := " + " || ".join(f"v{i % 5}" for i in range(1500)))
-        result = run_fresh("oracle", str(path), "--query", "x", "--init", "v3=true")
+        result = helpers.run_fresh(
+            "-m", "dippl", "oracle", str(path), "--query", "x", "--init", "v3=true"
+        )
         assert result.returncode == 0, result.stderr
         assert "value: 1" in result.stdout
+
+    def test_long_sequence_in_fresh_interpreter(self, tmp_path):
+        # 700 statements over 2 variables: the oracle walks the sequence,
+        # it does not recurse once per statement
+        steps = ["x := !y", "y := x || y"] * 350
+        path = tmp_path / "long.dippl"
+        path.write_text(";\n".join(["x ~ flip(1/2)", *steps[:699]]))
+        result = helpers.run_fresh("-m", "dippl", "oracle", str(path), "--query", "x", "--check")
+        assert result.returncode == 0, result.stderr
+        assert "check: equal" in result.stdout
 
 
 class TestCompileCommand:
@@ -197,14 +238,14 @@ class TestCompileCommand:
         # has the default recursion limit
         path = tmp_path / "chain1200.dippl"
         path.write_text(gen_chain(1200, 3))
-        result = run_fresh("compile", str(path))
+        result = helpers.run_fresh("-m", "dippl", "compile", str(path))
         assert result.returncode == 0, result.stderr
 
     def test_wide_expression_in_fresh_interpreter(self, tmp_path):
         # operator chains nest as deep as they are long
         path = tmp_path / "wide.dippl"
         path.write_text("x := " + " || ".join(f"v{i}" for i in range(1500)))
-        result = run_fresh("compile", str(path))
+        result = helpers.run_fresh("-m", "dippl", "compile", str(path))
         assert result.returncode == 0, result.stderr
 
     def test_dot_styles_edges(self, tmp_path, capsys):
@@ -232,6 +273,22 @@ class TestBench:
             "node_count", "compile_ms", "query_ms", "mode",
         }
         assert all(row["mode"] == "rational" for row in rows)
+
+    def test_float_rows_match_rational_rows(self, tmp_path, capsys):
+        # both modes run the same exact query; only mode and timings differ
+        rows = {}
+        for mode, flags in (("rational", []), ("float", ["--float"])):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["bench", "--family", "grid", "--sizes", "2,3", "--det", "0,0.5",
+                    "--seed", "5", "--out", str(out), *flags]
+            assert main(argv) == 0
+            with open(out, newline="") as handle:
+                rows[mode] = list(csv.DictReader(handle))
+            for row in rows[mode]:
+                assert row["mode"] == mode
+                del row["mode"], row["compile_ms"], row["query_ms"]
+        assert len(rows["float"]) == 4
+        assert rows["float"] == rows["rational"]
 
     def test_grid_determinism_sweep(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -310,13 +367,12 @@ class TestBench:
 
 class TestEngineAgreement:
     def test_infer_and_oracle_agree_on_generated_benchmarks(self, tmp_path, capsys):
-        from dippl.generators import generate, query_var
-
         cases = [("chain", 5, 0), ("ladder", 4, 0), ("grid", 2, 0.5)]
         for family, size, det in cases:
+            spec = BenchSpec(family, size, det, seed=29)
             path = tmp_path / f"{family}{size}.dippl"
-            path.write_text(generate(family, size, det, seed=29))
-            query = query_var(family, size)
+            path.write_text(spec.source())
+            query = spec.query_var()
             code_i, by_compiler = run_json(
                 capsys, ["infer", str(path), "--query", query, "--json"]
             )

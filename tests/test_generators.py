@@ -5,13 +5,12 @@ import pytest
 
 from dippl.compiler import compile_program
 from dippl.generators import (
+    BenchSpec,
     SplitMix64,
     gen_chain,
     gen_grid,
     gen_ladder,
-    generate,
     grid_flip_count,
-    query_var,
 )
 from dippl.infer import Query, check_against_oracle, event_prob
 from dippl.lang import (
@@ -178,7 +177,7 @@ class TestGrid:
     def test_matches_oracle_on_small_grid(self):
         program = parse(gen_grid(2, 0.5, seed=17))
         outcome = check_against_oracle(
-            program, Query(mode="marginal", event=parse_expr(query_var("grid", 2)))
+            program, Query(mode="marginal", event=parse_expr(BenchSpec("grid", 2).query_var()))
         )
         assert outcome.equal
 
@@ -191,13 +190,13 @@ class TestGrid:
 
 class TestDispatch:
     def test_generate(self):
-        assert generate("chain", 4, seed=3) == gen_chain(4, 3)
-        assert generate("ladder", 4, seed=3) == gen_ladder(4)
-        assert generate("grid", 2, 0.5, seed=3) == gen_grid(2, 0.5, seed=3)
+        assert BenchSpec("chain", 4, seed=3).source() == gen_chain(4, 3)
+        assert BenchSpec("ladder", 4, seed=3).source() == gen_ladder(4)
+        assert BenchSpec("grid", 2, 0.5, seed=3).source() == gen_grid(2, 0.5, seed=3)
         with pytest.raises(ValueError):
-            generate("tree", 4, seed=3)
+            BenchSpec("tree", 4, seed=3)
 
     def test_query_var(self):
-        assert query_var("chain", 7) == "x7"
-        assert query_var("ladder", 3) == "x3"
-        assert query_var("grid", 4) == "g3_3"
+        assert BenchSpec("chain", 7).query_var() == "x7"
+        assert BenchSpec("ladder", 3).query_var() == "x3"
+        assert BenchSpec("grid", 4).query_var() == "g3_3"

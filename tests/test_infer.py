@@ -104,42 +104,6 @@ class TestEventProb:
         c = compiled("y := x")
         assert event_prob(c, None, parse_expr("y")).value == 0
 
-    def test_float_mode(self):
-        c = compiled(FIG_CHAIN)
-        value = event_prob(c, None, parse_expr("z"), as_float=True).value
-        assert isinstance(value, float)
-        assert abs(value - 0.75) < 1e-12
-
-
-class TestFloatFormatting:
-    """``as_float`` formats the exact answer; it is not another arithmetic."""
-
-    def test_float_mode_converts_the_exact_answer(self):
-        c = compiled(FOO_BAR2)
-        init = state_for(c)
-        asks = [
-            lambda as_float: transition_prob(c, init, state_for(c, x=True), as_float=as_float),
-            lambda as_float: event_prob(c, init, parse_expr("x"), as_float=as_float),
-            lambda as_float: event_prob(c, init, parse_expr("x && !y"), as_float=as_float),
-        ]
-        for ask in asks:
-            exact, approx = ask(False), ask(True)
-            assert isinstance(exact.value, Fraction)
-            for field in ("value", "numerator", "denominator"):
-                got = getattr(approx, field)
-                assert type(got) is float
-                assert got == float(getattr(exact, field))
-        exact_accept = accept_prob(c, init)
-        assert exact_accept == Fraction(2, 3)
-        assert accept_prob(c, init, as_float=True) == float(exact_accept)
-
-    def test_infeasible_stays_infeasible(self):
-        c = compiled("x ~ flip(1/3); observe(x && !x)")
-        result = event_prob(c, None, parse_expr("x"), as_float=True)
-        assert result.value is INFEASIBLE
-        assert (result.numerator, result.denominator) == (0.0, 0.0)
-        assert type(result.numerator) is float and type(result.denominator) is float
-
 
 class TestQueryProperties:
     def test_complementarity(self):
@@ -232,14 +196,14 @@ class TestCheckAgainstOracle:
         assert Query(mode="marginal").event is not None
 
 
-def _ask(compiled_program, kind, init, arg, as_float):
+def _ask(compiled_program, kind, init, arg):
     """(value, numerator, denominator) of one query; accept has no ratio."""
     if kind == "accepting":
-        return accept_prob(compiled_program, init, as_float=as_float), None, None
+        return accept_prob(compiled_program, init), None, None
     if kind == "transition":
-        result = transition_prob(compiled_program, init, arg, as_float=as_float)
+        result = transition_prob(compiled_program, init, arg)
     else:
-        result = event_prob(compiled_program, init, arg, as_float=as_float)
+        result = event_prob(compiled_program, init, arg)
     return result.value, result.numerator, result.denominator
 
 
@@ -282,7 +246,7 @@ class TestSharedCountTable:
 
     def test_matches_fresh_compile_and_oracle(self):
         rng = random.Random(71)
-        seen = {"observe": 0, "infeasible": 0, "float": 0}
+        seen = {"observe": 0, "infeasible": 0}
         for _ in range(200):
             program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3, observe_p=0.3)
             c = compile_program(program)
@@ -300,17 +264,12 @@ class TestSharedCountTable:
             asks *= 2
             rng.shuffle(asks)
             for kind, init, arg in asks:
-                as_float = rng.random() < 0.3
-                got = _ask(c, kind, init, arg, as_float)
-                assert got == _ask(compile_program(program), kind, init, arg, as_float)
+                got = _ask(c, kind, init, arg)
+                assert got == _ask(compile_program(program), kind, init, arg)
                 expected = _oracle_value(program, kind, init, arg)
                 if expected is INFEASIBLE:
                     seen["infeasible"] += 1
                     assert got[0] is INFEASIBLE
-                elif as_float:
-                    seen["float"] += 1
-                    assert isinstance(got[0], float)
-                    assert abs(got[0] - float(expected)) < 1e-9
                 else:
                     assert got[0] == expected
                     assert isinstance(got[0], Fraction)

@@ -1,13 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dippl
+import helpers
 from dippl.lang import (
     And,
     Assign,
@@ -212,6 +209,18 @@ class TestUnparse:
         assert parse_expr(unparse(Observe(expr))[len("observe(") : -1]) == expr
 
 
+class TestStructuralEquality:
+    def test_compares_type_and_every_field(self):
+        a, b = VarRef("a"), VarRef("b")
+        assert And(a, b) == And(VarRef("a"), VarRef("b"))
+        assert hash(And(a, b)) == hash(And(VarRef("a"), VarRef("b")))
+        assert And(a, b) != Or(a, b) and And(a, b) != And(b, a)
+        assert Not(a) != a and a != "a"
+        assert Flip("x", Fraction(1, 2), 0) != Flip("x", Fraction(1, 2), 1)
+        assert Seq(Skip(), Seq(Skip(), Skip())) != Seq(Seq(Skip(), Skip()), Skip())
+        assert len({parse(FIG_CHAIN).body, parse(FIG_CHAIN).body}) == 1
+
+
 # -- parser totality over grammar sentences ---------------------------------
 
 
@@ -301,17 +310,6 @@ class TestValidate:
         assert [d.var for d in diagnostics] == ["x"]
 
 
-def run_in_fresh_interpreter(code: str):
-    """Run ``code`` in a fresh interpreter, which has the default
-    recursion limit."""
-    src = os.path.dirname(os.path.dirname(dippl.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-
-
 def test_long_chain_walks_in_fresh_interpreter():
     # sequences nest as deep as they are long; a fresh interpreter has the
     # default recursion limit
@@ -324,18 +322,23 @@ def test_long_chain_walks_in_fresh_interpreter():
         "assert [f.label for f in flips_of(body)] == list(range(program.flip_count))\n"
         "assert unparse(body) == unparse(program)\n"
     )
-    result = run_in_fresh_interpreter(code)
+    result = helpers.run_fresh("-c", code)
     assert result.returncode == 0, result.stderr
 
 
 def test_wide_expression_round_trips_in_fresh_interpreter():
-    # a 1,500-term || over 5 variables nests 1,500 deep.  unparse must
-    # give back the source, so that parse(unparse(p)) is parse(source),
-    # which is p; == itself recurses on a tree this deep
+    # a 1,500-term || over 5 variables nests 1,500 deep, and a 1,200-long
+    # chain nests its sequence as deep; == and hash walk both
     code = (
+        "from dippl.generators import gen_chain\n"
         "from dippl.lang import parse, unparse\n"
-        "source = 'x := ' + ' || '.join(f'v{i % 5}' for i in range(1500))\n"
-        "assert unparse(parse(source)) == source\n"
+        "wide = 'x := ' + ' || '.join(f'v{i % 5}' for i in range(1500))\n"
+        "assert unparse(parse(wide)) == wide\n"
+        "for source, other in [(wide, wide + ' || v0'), (gen_chain(1200, 3), gen_chain(1200, 4))]:\n"
+        "    program = parse(source)\n"
+        "    assert parse(unparse(program)) == program\n"
+        "    assert hash(parse(source).body) == hash(program.body)\n"
+        "    assert parse(other) != program\n"
     )
-    result = run_in_fresh_interpreter(code)
+    result = helpers.run_fresh("-c", code)
     assert result.returncode == 0, result.stderr
