@@ -44,6 +44,18 @@ def run_json(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def assert_float_formats_exact(capsys, argv):
+    """``argv --float`` prints ``float()`` of each exact field of ``argv``."""
+    _, exact = run_json(capsys, argv)
+    code, report = run_json(capsys, [*argv, "--float"])
+    assert code == 0
+    assert report["value"] is None
+    assert report["decimal"] == float(Fraction(exact["value"]))
+    for field in ("numerator", "denominator"):
+        assert report[field] == str(float(Fraction(exact[field])))
+    assert report["mode"] == "float"
+
+
 class TestInfer:
     def test_chain_query(self, chain_file, capsys):
         code, report = run_json(capsys, ["infer", chain_file, "--query", "z", "--json"])
@@ -69,15 +81,24 @@ class TestInfer:
     def test_float_mode(self, bar2_file, capsys):
         # --float formats the exact answer; it is not another arithmetic
         for query in ("y", "x && !y", "true"):
-            argv = ["infer", bar2_file, "--query", query, "--json"]
-            _, exact = run_json(capsys, argv)
-            code, report = run_json(capsys, [*argv, "--float"])
-            assert code == 0
-            assert report["value"] is None
-            assert report["decimal"] == float(Fraction(exact["value"]))
-            for field in ("numerator", "denominator"):
-                assert report[field] == str(float(Fraction(exact[field])))
-            assert report["mode"] == "float"
+            assert_float_formats_exact(capsys, ["infer", bar2_file, "--query", query, "--json"])
+
+    def test_float_mode_chain(self, chain_file, capsys):
+        code, report = run_json(
+            capsys, ["infer", chain_file, "--query", "z", "--json", "--float"]
+        )
+        assert code == 0
+        assert report["value"] is None
+        assert report["decimal"] == 0.75
+        assert report["mode"] == "float"
+
+    def test_float_mode_converts_the_exact_answer(self, bar2_file, capsys):
+        # from a given initial state, with observe: the transition to
+        # x=true,y=false and two marginals
+        for init in ("x=false,y=false", "x=true,y=false"):
+            for query in ("x && !y", "x", "!x || y"):
+                argv = ["infer", bar2_file, "--init", init, "--query", query, "--json"]
+                assert_float_formats_exact(capsys, argv)
 
     def test_float_mode_infeasible(self, tmp_path, capsys):
         path = tmp_path / "bad.dippl"
