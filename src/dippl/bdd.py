@@ -64,6 +64,10 @@ class SupportOutsideUniverse(Exception):
     """wmc was asked to count over a universe missing support variables."""
 
 
+# the weights of every unlisted variable, shared
+_UNIT_WEIGHTS = (Fraction(1), Fraction(1))
+
+
 class WeightFn:
     """Per-variable literal weights: id -> (weight-true, weight-false).
 
@@ -89,13 +93,10 @@ class WeightFn:
         return w
 
     def weight(self, var: int) -> tuple[Fraction, Fraction]:
-        return self._entries.get(var, (Fraction(1), Fraction(1)))
+        return self._entries.get(var, _UNIT_WEIGHTS)
 
     def items(self):
         return self._entries.items()
-
-    def __contains__(self, var: int) -> bool:
-        return var in self._entries
 
     def __eq__(self, other):
         return isinstance(other, WeightFn) and self._entries == other._entries
@@ -103,21 +104,15 @@ class WeightFn:
     def __repr__(self):
         return f"WeightFn({self._entries!r})"
 
-    def merged(self, other: "WeightFn") -> "WeightFn":
-        """Union of two weight functions; overlapping entries must agree."""
-        if not other._entries:
-            return self
-        if not self._entries:
-            return other
-        entries = dict(self._entries)
-        for var, w in other._entries.items():
-            if entries.setdefault(var, w) != w:
-                raise ValueError(f"conflicting weights for variable {var}")
-        # both sides are already coerced, so skip __init__'s checks: a
-        # compile merges once per statement
-        result = WeightFn.__new__(WeightFn)
-        result._entries = entries
-        return result
+
+class _NoCache(dict):
+    """An operation cache that never keeps an entry: the uncached
+    reference store of ``NodeStore(op_cache=False)``."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value):
+        pass
 
 
 class Bdd:
@@ -198,7 +193,7 @@ class NodeStore:
         self._lo: list[int] = [0, 1]
         self._hi: list[int] = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: Optional[dict] = {} if op_cache else None
+        self._cache: dict = {} if op_cache else _NoCache()
         self._names: list[str] = []
         for name in names:
             self.add_var(name)
@@ -231,8 +226,7 @@ class NodeStore:
         return len(self._var)
 
     def clear_op_cache(self):
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
 
     # -- node construction ---------------------------------------------------
 
@@ -322,12 +316,10 @@ class NodeStore:
             return f
         if g == 0 and h == 1:
             return self._not(f)
-        cache = self._cache
-        if cache is not None:
-            key = (_OP_ITE, f, g, h)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = (_OP_ITE, f, g, h)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         var_f, var_g, var_h = self._var[f], self._var[g], self._var[h]
         top = min(var_f, var_g, var_h)
         if var_f == top:
@@ -345,8 +337,7 @@ class NodeStore:
         result = self._mk(
             top, self._ite(f_lo, g_lo, h_lo), self._ite(f_hi, g_hi, h_hi)
         )
-        if cache is not None:
-            cache[key] = result
+        self._cache[key] = result
         return result
 
     # -- Boolean combinators ---------------------------------------------------
@@ -364,15 +355,12 @@ class NodeStore:
     def _not(self, a: int) -> int:
         if a <= 1:
             return 1 - a
-        cache = self._cache
-        if cache is not None:
-            key = (_OP_NOT, a, 0)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = (_OP_NOT, a, 0)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         result = self._mk(self._var[a], self._not(self._lo[a]), self._not(self._hi[a]))
-        if cache is not None:
-            cache[key] = result
+        self._cache[key] = result
         return result
 
     def _apply(self, op: int, a: int, b: int) -> int:
@@ -419,13 +407,11 @@ class NodeStore:
                 return b
             if b == 0:
                 return self._not(a)
-        cache = self._cache
-        if cache is not None:
-            # the four symmetric operators share cache entries
-            key = (op, b, a) if op != _OP_IMPLIES and a > b else (op, a, b)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        # the four symmetric operators share cache entries
+        key = (op, b, a) if op != _OP_IMPLIES and a > b else (op, a, b)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         var_a, var_b = self._var[a], self._var[b]
         top = var_a if var_a < var_b else var_b
         if var_a == top:
@@ -439,8 +425,7 @@ class NodeStore:
         result = self._mk(
             top, self._apply(op, a_lo, b_lo), self._apply(op, a_hi, b_hi)
         )
-        if cache is not None:
-            cache[key] = result
+        self._cache[key] = result
         return result
 
     # -- quantification and renaming -----------------------------------------
@@ -515,23 +500,23 @@ class NodeStore:
         return self._wrap(rec(ia, ib))
 
     def support(self, a: Bdd) -> frozenset[int]:
-        return frozenset(self._support(self._own(a)))
+        return frozenset(self._var[u] for u in self._nodes(self._own(a)))
 
-    def _support(self, root: int, bound: int = _TERMINAL_VAR) -> set[int]:
-        """Support variables up to ``bound``: the walk does not descend
-        below a node whose variable exceeds it."""
+    def _nodes(self, root: int, bound: int = _TERMINAL_VAR) -> set[int]:
+        """Internal nodes reachable from ``root`` whose variables are at
+        most ``bound``: the walk does not descend below a node whose
+        variable exceeds it."""
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
         seen: set[int] = set()
-        vars: set[int] = set()
         stack = [root]
         while stack:
             u = stack.pop()
-            if u <= 1 or u in seen or self._var[u] > bound:
+            if u <= 1 or u in seen or var_of[u] > bound:
                 continue
             seen.add(u)
-            vars.add(self._var[u])
-            stack.append(self._lo[u])
-            stack.append(self._hi[u])
-        return vars
+            stack.append(lo_of[u])
+            stack.append(hi_of[u])
+        return seen
 
     def rename(self, mapping: Mapping[int, int], a: Bdd) -> Bdd:
         """Simultaneous variable substitution, a single structural pass.
@@ -550,7 +535,7 @@ class NodeStore:
         # of a node has a smaller variable, so the order can only break
         # on the support at or below the bound
         bound = max(max(mapping), max(mapping.values()))
-        support = sorted(self._support(root, bound))
+        support = sorted({self._var[u] for u in self._nodes(root, bound)})
         images = [mapping.get(var, var) for var in support]
         for prev, cur in zip(images, images[1:]):
             if prev >= cur:
@@ -590,17 +575,7 @@ class NodeStore:
 
     def node_count(self, a: Bdd) -> int:
         """Distinct internal nodes reachable from ``a`` (terminals excluded)."""
-        root = self._own(a)
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            if u <= 1 or u in seen:
-                continue
-            seen.add(u)
-            stack.append(self._lo[u])
-            stack.append(self._hi[u])
-        return len(seen)
+        return len(self._nodes(self._own(a)))
 
     def wmc(
         self,
@@ -696,7 +671,7 @@ class NodeStore:
         try:
             count = edge(root, 0)
         except KeyError:
-            missing = self._support(root).difference(uni)
+            missing = {var_of[u] for u in self._nodes(root)}.difference(uni)
             if not missing:
                 raise
             raise SupportOutsideUniverse(
@@ -717,27 +692,15 @@ class NodeStore:
             '  ordering="out";',
             "  node [shape=circle];",
         ]
-        seen: set[int] = set()
-        terminals: set[int] = set()
-        order = []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            if u <= 1:
-                terminals.add(u)
-                continue
-            if u in seen:
-                continue
-            seen.add(u)
-            order.append(u)
-            stack.append(self._hi[u])
-            stack.append(self._lo[u])
+        order = sorted(self._nodes(root))
+        # a diagram without internal nodes is its terminal root
+        terminals = {c for u in order for c in (self._lo[u], self._hi[u]) if c <= 1} or {root}
         for u in sorted(terminals):
             text = "T" if u else "F"
             lines.append(f'  n{u} [shape=box, label="{text}"];')
-        for u in sorted(order):
+        for u in order:
             lines.append(f'  n{u} [label="{label(self._var[u])}"];')
-        for u in sorted(order):
+        for u in order:
             lines.append(f"  n{u} -> n{self._lo[u]} [style=dashed];")
             lines.append(f"  n{u} -> n{self._hi[u]} [style=solid];")
         lines.append("}")

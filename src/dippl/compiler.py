@@ -2,10 +2,14 @@
 
 A statement compiles to a BDD ``phi`` over three banks of variables --
 unprimed (input state), primed (output state), and per-flip sample
-variables -- together with a weight function mapping each flip variable
-to ``(theta, 1 - theta)`` and every state variable to ``(1, 1)``.
-``phi`` relates input to output states; probability queries against it
-are ratios of weighted model counts (see ``dippl.infer``).
+variables.  ``phi`` relates input to output states; probability queries
+against it are ratios of weighted model counts (see ``dippl.infer``).
+The weights are fixed by the program's flips, as the variables are, so
+``allocate_banks`` builds them once beside the WMC universe:
+``VarBanks.weights`` maps each flip variable to ``(theta, 1 - theta)``
+and every state variable to ``(1, 1)``.  An expression compiles onto
+whichever bank it is given: the input bank for conditions and
+right-hand sides, the output bank for query events.
 
 Each statement compiles frame-free to a pair ``(rel, mod)``: ``mod`` is
 the set of variables the statement may write, and ``rel`` mentions only
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .bdd import Bdd, NodeStore, WeightFn
 from .lang import (
@@ -92,7 +96,9 @@ class VarBanks:
     """Variable-bank bookkeeping for one compiled program.
 
     ``universe`` (everything except the transient double-primed bank) is
-    the variable set every weighted model count ranges over.
+    the variable set every weighted model count ranges over, and
+    ``weights`` weighs each flip variable ``(theta, 1 - theta)`` and
+    every other variable ``(1, 1)``.
     """
 
     unprimed: Mapping[str, int]
@@ -100,6 +106,7 @@ class VarBanks:
     double_primed: Mapping[str, int]
     flip_var: Mapping[int, int]  # flip label -> variable id
     universe: frozenset[int]
+    weights: WeightFn
 
     @property
     def flips(self) -> tuple[int, ...]:
@@ -108,10 +115,12 @@ class VarBanks:
 
 
 def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
-    """Create a store whose global order interleaves flips with their targets."""
+    """Create a store whose global order interleaves flips with their
+    targets, and the banks with the program's weights."""
+    flips = sorted(flips_of(program.body), key=lambda f: f.label)
     # flips grouped by target; groups in order of their first flip label
     flips_by_target: dict[str, list[Flip]] = {}
-    for flip in sorted(flips_of(program.body), key=lambda f: f.label):
+    for flip in flips:
         flips_by_target.setdefault(flip.target, []).append(flip)
 
     store = NodeStore()
@@ -136,15 +145,17 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     universe = frozenset(unprimed.values()) | frozenset(primed.values()) | frozenset(
         flip_var.values()
     )
-    banks = VarBanks(unprimed, primed, double_primed, flip_var, universe)
+    weights = WeightFn({flip_var[f.label]: (f.theta, 1 - f.theta) for f in flips})
+    banks = VarBanks(unprimed, primed, double_primed, flip_var, universe, weights)
     return store, banks
 
 
 _BINARY_OPS = {And: "and", Or: "or"}
 
 
-def compile_expr(e: Expr, banks: VarBanks, store: NodeStore) -> Bdd:
-    """Expression as a BDD over the unprimed (input-state) bank.
+def compile_expr(e: Expr, bank: Mapping[str, int], store: NodeStore) -> Bdd:
+    """Expression as a BDD over one variable bank (name -> variable id),
+    e.g. ``banks.unprimed`` for the input state.
 
     Operands are compiled left to right with an explicit stack, since
     operator chains nest as deep as they are long.
@@ -158,7 +169,7 @@ def compile_expr(e: Expr, banks: VarBanks, store: NodeStore) -> Bdd:
         node = stack.pop()
         kind = type(node)
         if kind is VarRef:
-            var = banks.unprimed.get(node.name)
+            var = bank.get(node.name)
             if var is None:
                 raise UnknownVariable(node.name)
             built.append(store.var(var))
@@ -179,19 +190,18 @@ def compile_expr(e: Expr, banks: VarBanks, store: NodeStore) -> Bdd:
     return built[0]
 
 
-def gamma(banks: VarBanks, store: NodeStore, exclude: frozenset[str] = frozenset()) -> Bdd:
-    """Frame formula: unprimed equals primed for every non-excluded variable.
+def _frame(banks: VarBanks, store: NodeStore, names: Iterable[str]) -> Bdd:
+    """Frame formula: unprimed equals primed for every variable of ``names``.
 
     Each variable's (unprimed, primed) pair is adjacent in the global
     order, so the whole conjunction is built in one bottom-up pass.
     """
-    return store.iff_cube(
-        {
-            banks.unprimed[name]: banks.primed[name]
-            for name in banks.unprimed
-            if name not in exclude
-        }
-    )
+    return store.iff_cube({banks.unprimed[x]: banks.primed[x] for x in names})
+
+
+def gamma(banks: VarBanks, store: NodeStore, exclude: frozenset[str] = frozenset()) -> Bdd:
+    """Frame formula over every program variable not in ``exclude``."""
+    return _frame(banks, store, (x for x in banks.unprimed if x not in exclude))
 
 
 def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> Bdd:
@@ -203,50 +213,41 @@ def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> 
     return store.cube(literals)
 
 
-_NO_WEIGHTS = WeightFn()
-
-
-def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> tuple[Bdd, WeightFn]:
-    """Compile one statement; returns the relation BDD and its weights.
+def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
+    """Compile one statement to its relation BDD.
 
     The relation is the frame-free ``rel`` of ``stmt`` conjoined once
     with ``gamma`` over the variables ``stmt`` does not write.
     """
 
-    def frame(names) -> Bdd:
-        return store.iff_cube({banks.unprimed[x]: banks.primed[x] for x in names})
-
-    def rec(s: Stmt) -> tuple[Bdd, frozenset[str], WeightFn]:
+    def rec(s: Stmt) -> tuple[Bdd, frozenset[str]]:
         if isinstance(s, Skip):
-            return store.true, frozenset(), _NO_WEIGHTS
+            return store.true, frozenset()
         if isinstance(s, Flip):
             f = banks.flip_var[s.label]
-            return (
-                store.iff_cube({f: banks.primed[s.target]}),
-                frozenset((s.target,)),
-                WeightFn({f: (s.theta, 1 - s.theta)}),
-            )
+            return store.iff_cube({f: banks.primed[s.target]}), frozenset((s.target,))
         if isinstance(s, Assign):
             target = banks.primed[s.target]
             if isinstance(s.rhs, Const):
                 rel = store.cube({target: s.rhs.value})
             else:
-                rel = store.apply("iff", store.var(target), compile_expr(s.rhs, banks, store))
-            return rel, frozenset((s.target,)), _NO_WEIGHTS
+                rhs = compile_expr(s.rhs, banks.unprimed, store)
+                rel = store.apply("iff", store.var(target), rhs)
+            return rel, frozenset((s.target,))
         if isinstance(s, Observe):
-            return compile_expr(s.cond, banks, store), frozenset(), _NO_WEIGHTS
+            return compile_expr(s.cond, banks.unprimed, store), frozenset()
         if isinstance(s, If):
-            cond = compile_expr(s.cond, banks, store)
-            rel1, mod1, w1 = rec(s.then_branch)
-            rel2, mod2, w2 = rec(s.else_branch)
+            cond = compile_expr(s.cond, banks.unprimed, store)
+            rel1, mod1 = rec(s.then_branch)
+            rel2, mod2 = rec(s.else_branch)
             mod = mod1 | mod2
             # each branch leaves the variables only the other one writes
             # unchanged
             if mod - mod1:
-                rel1 = rel1 & frame(mod - mod1)
+                rel1 = rel1 & _frame(banks, store, mod - mod1)
             if mod - mod2:
-                rel2 = rel2 & frame(mod - mod2)
-            return store.ite(cond, rel1, rel2), mod, w1.merged(w2)
+                rel2 = rel2 & _frame(banks, store, mod - mod2)
+            return store.ite(cond, rel1, rel2), mod
         if isinstance(s, Seq):
             # composition is associative; compose neighbours pairwise,
             # level by level (see the module docstring for why)
@@ -261,24 +262,24 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> tuple[Bdd, We
             return parts[0]
         raise TypeError(f"not a statement: {s!r}")
 
-    rel, mod, weights = rec(stmt)
-    return rel & gamma(banks, store, exclude=mod), weights
+    rel, mod = rec(stmt)
+    return rel & gamma(banks, store, exclude=mod)
 
 
 def _compose(
-    first: tuple[Bdd, frozenset[str], WeightFn],
-    second: tuple[Bdd, frozenset[str], WeightFn],
+    first: tuple[Bdd, frozenset[str]],
+    second: tuple[Bdd, frozenset[str]],
     banks: VarBanks,
     store: NodeStore,
-) -> tuple[Bdd, frozenset[str], WeightFn]:
-    """``(rel, mod, weights)`` of ``s1; s2`` from those of ``s1`` and ``s2``.
+) -> tuple[Bdd, frozenset[str]]:
+    """``(rel, mod)`` of ``s1; s2`` from those of ``s1`` and ``s2``.
 
     ``s2`` reads what ``s1`` writes from the primed bank.  Only the
     variables both write have an intermediate value to quantify; ``s2``'s
     output for them waits on the double-primed bank meanwhile.
     """
-    rel1, mod1, w1 = first
-    rel2, mod2, w2 = second
+    rel1, mod1 = first
+    rel2, mod2 = second
     both = mod1 & mod2
     shift = {banks.unprimed[x]: banks.primed[x] for x in mod1}
     shift.update({banks.primed[x]: banks.double_primed[x] for x in both})
@@ -286,7 +287,7 @@ def _compose(
         rel1, store.rename(shift, rel2), [banks.primed[x] for x in both]
     )
     rel = store.rename({banks.double_primed[x]: banks.primed[x] for x in both}, joined)
-    return rel, mod1 | mod2, w1.merged(w2)
+    return rel, mod1 | mod2
 
 
 @dataclass(frozen=True)
@@ -298,10 +299,10 @@ class CompileStats:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A program's relation BDD, weights, and variable bookkeeping."""
+    """A program's relation BDD and variable bookkeeping (weights
+    included, see ``VarBanks``)."""
 
     phi: Bdd
-    weights: WeightFn
     banks: VarBanks
     program: Program
     stats: CompileStats
@@ -318,11 +319,11 @@ def compile_program(program: Program) -> CompiledProgram:
     """Allocate variable banks and compile the whole program body."""
     begin = time.perf_counter()
     store, banks = allocate_banks(program)
-    phi, weights = compile_stmt(program.body, banks, store)
+    phi = compile_stmt(program.body, banks, store)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     stats = CompileStats(
         node_count=store.node_count(phi),
         store_nodes=len(store),
         compile_ms=elapsed_ms,
     )
-    return CompiledProgram(phi, weights, banks, program, stats)
+    return CompiledProgram(phi, banks, program, stats)

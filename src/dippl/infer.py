@@ -8,11 +8,17 @@ output-state cube,
     acceptance probability  =  wmc(phi & <s>)
     event probability       =  wmc(phi & <s> & event') / wmc(phi & <s>)
 
-where ``event'`` is the query expression compiled over the output bank.
+where ``event'`` is the query expression compiled straight onto the
+output bank.  The weights and the universe are ``compiled.banks.weights``
+and ``compiled.banks.universe``.
 A zero denominator means the evidence rejected every execution path;
 that outcome is reported as the first-class ``INFEASIBLE`` value, never
 as an exception and never as probability zero.  Numerator and
 denominator are always reported alongside the ratio.
+
+Each result's ``stats.query_ms`` is the wall clock of the whole query,
+from entry to answer: conditioning, building the numerator and both
+counts.
 
 Answers are exact ``Fraction``s.  ``NodeStore.wmc`` counts on Python
 ints scaled by a product ``S`` of the weights' denominators and divides
@@ -116,15 +122,18 @@ def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fracti
     over conditioned diagrams (``phi & <s>``) extend it."""
     return compiled.store.wmc(
         bdd,
-        compiled.weights,
+        compiled.banks.weights,
         compiled.banks.universe,
         table=compiled.exact_counts,
         extend_table=extend_table,
     )
 
 
-def _ratio(compiled: CompiledProgram, numerator_bdd: Bdd, denominator_bdd: Bdd) -> InferenceResult:
-    begin = time.perf_counter()
+def _ratio(
+    compiled: CompiledProgram, numerator_bdd: Bdd, denominator_bdd: Bdd, begin: float
+) -> InferenceResult:
+    """The counts' ratio; ``query_ms`` runs from ``begin``, the
+    ``perf_counter`` reading at the query's entry."""
     denominator = _count(compiled, denominator_bdd, extend_table=True)
     if denominator == 0:
         value: Value = INFEASIBLE
@@ -145,22 +154,20 @@ def transition_prob(
     compiled: CompiledProgram, from_state: Optional[State], to_state: State
 ) -> InferenceResult:
     """Conditional probability of ending in exactly ``to_state``."""
+    begin = time.perf_counter()
     conditioned = _conditioned(compiled, from_state)
     target = state_cube(to_state, compiled.banks.primed, compiled.store)
-    return _ratio(compiled, conditioned & target, conditioned)
+    return _ratio(compiled, conditioned & target, conditioned, begin)
 
 
 def event_prob(
     compiled: CompiledProgram, from_state: Optional[State], event: Expr
 ) -> InferenceResult:
     """Conditional probability that ``event`` holds in the output state."""
-    store, banks = compiled.store, compiled.banks
-    event_bdd = store.rename(
-        {banks.unprimed[x]: banks.primed[x] for x in banks.unprimed},
-        compile_expr(event, banks, store),
-    )
+    begin = time.perf_counter()
+    event_bdd = compile_expr(event, compiled.banks.primed, compiled.store)
     conditioned = _conditioned(compiled, from_state)
-    return _ratio(compiled, conditioned & event_bdd, conditioned)
+    return _ratio(compiled, conditioned & event_bdd, conditioned, begin)
 
 
 def check_oracle_cap(program: Program):

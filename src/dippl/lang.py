@@ -57,11 +57,14 @@ class UnknownVariable(Exception):
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Base of the AST node classes: structural ``==`` and ``hash``.
+    """Base of the AST node classes: structural ``==``, ``hash`` and
+    ``repr``.
 
-    Both compare the node type and every field, flip labels included.
-    They walk the tree with an explicit stack, since operator chains and
-    sequences nest as deep as they are long.
+    ``==`` and ``hash`` compare the node type and every field, flip
+    labels included; ``repr`` prints the dataclass form, e.g.
+    ``Not(inner=VarRef(name='y'))``.  All three walk the tree with an
+    explicit stack, since operator chains and sequences nest as deep as
+    they are long.
     """
 
     _field_names: tuple[str, ...] = ()
@@ -91,10 +94,29 @@ class _Node:
     def __hash__(self):
         return hash(tuple(self._tokens()))
 
+    def __repr__(self):
+        out: list[str] = []
+        # entries are nodes still to print, or text to emit
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(type(item).__qualname__ + "(")
+            stack.append(")")
+            for i in reversed(range(len(item._field_names))):
+                name = item._field_names[i]
+                value = getattr(item, name)
+                stack.append(value if isinstance(value, _Node) else repr(value))
+                stack.append(f"{', ' if i else ''}{name}=")
+        return "".join(out)
+
 
 def _node(cls):
-    """An immutable AST node class with ``_Node``'s ``==`` and ``hash``."""
-    cls = dataclass(frozen=True, eq=False)(cls)
+    """An immutable AST node class with ``_Node``'s ``==``, ``hash`` and
+    ``repr``."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls._field_names = tuple(f.name for f in fields(cls))
     return cls
 
@@ -469,43 +491,54 @@ class _Parser:
             return Fraction(int(tok.text))
         raise self.error("expected a number")
 
+    # expr := orExpr, parsed without recursion: "!" and "(" nest as deep
+    # as they are repeated.  ``ors`` and ``ands`` are the left-folded
+    # "||" and "&&" operands so far and ``nots`` the pending "!"s of the
+    # innermost open parenthesis; ``outer`` saves them for each one
+    # enclosing it.
     def parse_expr(self) -> Expr:
-        expr = self.parse_and()
-        while self.peek().kind == "||":
+        outer: list[tuple] = []
+        ors = ands = None
+        nots = 0
+        while True:
+            while self.peek().kind == "!":
+                self.advance()
+                nots += 1
+            tok = self.peek()
+            if tok.kind == "(":
+                self.advance()
+                outer.append((ors, ands, nots))
+                ors = ands = None
+                nots = 0
+                continue
+            if tok.kind == "true":
+                expr = TRUE
+            elif tok.kind == "false":
+                expr = FALSE
+            elif tok.kind == "ident":
+                expr = VarRef(tok.text)
+            else:
+                raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
             self.advance()
-            expr = Or(expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> Expr:
-        expr = self.parse_not()
-        while self.peek().kind == "&&":
+            # fold the operand in; a ")" closes a parenthesis, whose value
+            # is then the next operand of the one enclosing it
+            while True:
+                for _ in range(nots):
+                    expr = Not(expr)
+                ands = expr if ands is None else And(ands, expr)
+                if self.peek().kind == "&&":
+                    break
+                ors = ands if ors is None else Or(ors, ands)
+                if self.peek().kind == "||":
+                    ands = None
+                    break
+                if not outer:
+                    return ors
+                self.expect(")")
+                expr = ors
+                ors, ands, nots = outer.pop()
             self.advance()
-            expr = And(expr, self.parse_not())
-        return expr
-
-    def parse_not(self) -> Expr:
-        if self.peek().kind == "!":
-            self.advance()
-            return Not(self.parse_not())
-        return self.parse_prim()
-
-    def parse_prim(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.advance()
-            return TRUE
-        if tok.kind == "false":
-            self.advance()
-            return FALSE
-        if tok.kind == "ident":
-            self.advance()
-            return VarRef(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
-        raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+            nots = 0
 
 
 def parse(source: str) -> Program:

@@ -373,16 +373,6 @@ class TestWeightFn:
         with pytest.raises(TypeError):
             WeightFn({0: (0.5, 0.5)})
 
-    def test_merge_agreement(self):
-        w1 = WeightFn({0: (Fraction(1, 2), Fraction(1, 2))})
-        w2 = WeightFn({1: (Fraction(1, 4), Fraction(3, 4))})
-        merged = w1.merged(w2)
-        assert merged.weight(0) == (Fraction(1, 2), Fraction(1, 2))
-        assert merged.weight(1) == (Fraction(1, 4), Fraction(3, 4))
-        conflicting = WeightFn({0: (Fraction(1, 4), Fraction(3, 4))})
-        with pytest.raises(ValueError):
-            w1.merged(conflicting)
-
 
 class TestQueries:
     def test_node_count(self):

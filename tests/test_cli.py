@@ -78,6 +78,17 @@ class TestInfer:
         assert code == 0
         assert report["value"] == "1/2"
 
+    @pytest.mark.parametrize(
+        "rhs", ["!" * 3000 + "x", "(" * 1500 + "x" + ")" * 1500], ids=["3000-nots", "1500-parens"]
+    )
+    def test_deep_prefix_nesting_in_fresh_interpreter(self, tmp_path, rhs):
+        # an even number of "!"s, or parentheses alone, leave y = x
+        path = tmp_path / "deep.dippl"
+        path.write_text(f"x ~ flip(1/2); y := {rhs}")
+        result = helpers.run_fresh("-m", "dippl", "infer", str(path), "--query", "y", "--json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["value"] == "1/2"
+
     def test_float_mode(self, bar2_file, capsys):
         # --float formats the exact answer; it is not another arithmetic
         for query in ("y", "x && !y", "true"):

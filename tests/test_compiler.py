@@ -119,13 +119,25 @@ class TestGamma:
 class TestCompileExpr:
     def test_constants(self):
         store, banks = allocate_banks(parse("x := true"))
-        assert compile_expr(parse_expr("true"), banks, store).is_true
-        assert compile_expr(parse_expr("false"), banks, store).is_false
+        assert compile_expr(parse_expr("true"), banks.unprimed, store).is_true
+        assert compile_expr(parse_expr("false"), banks.unprimed, store).is_false
 
     def test_unknown_variable(self):
         store, banks = allocate_banks(parse("x := true"))
         with pytest.raises(UnknownVariable):
-            compile_expr(parse_expr("q"), banks, store)
+            compile_expr(parse_expr("q"), banks.unprimed, store)
+
+    def test_output_bank_matches_renamed_input_bank(self):
+        # compiling straight onto the primed bank gives the handle that
+        # renaming the unprimed compilation gives
+        rng = random.Random(59)
+        program = parse("a ~ flip(1/2); b := a; c ~ flip(1/3); d := c && b; e := e")
+        store, banks = allocate_banks(program)
+        to_primed = {banks.unprimed[x]: banks.primed[x] for x in banks.unprimed}
+        for _ in range(200):
+            expr = helpers.random_expr(rng, list(program.vars), depth=4)
+            renamed = store.rename(to_primed, compile_expr(expr, banks.unprimed, store))
+            assert compile_expr(expr, banks.primed, store) == renamed
 
     def test_matches_interpreter_on_all_states(self):
         rng = random.Random(3)
@@ -133,7 +145,7 @@ class TestCompileExpr:
         store, banks = allocate_banks(program)
         for _ in range(50):
             expr = helpers.random_expr(rng, list(program.vars), depth=3)
-            compiled = compile_expr(expr, banks, store)
+            compiled = compile_expr(expr, banks.unprimed, store)
             for state in all_states(program.vars):
                 env = {banks.unprimed[n]: state[n] for n in program.vars}
                 assert helpers.follow(compiled, env) == eval_expr(expr, state)
@@ -144,8 +156,8 @@ class TestCompileStmtRules:
         program = Program.from_stmt(Skip())
         program = parse("skip; x := x")  # one variable in scope
         store, banks = allocate_banks(program)
-        phi, weights = compile_stmt(parse("skip").body, banks, store)
-        universe = banks.universe
+        phi = compile_stmt(parse("skip").body, banks, store)
+        weights, universe = banks.weights, banks.universe
         x, xp = banks.unprimed["x"], banks.primed["x"]
         both_true = store.wmc(phi & store.cube({x: True, xp: True}), weights, universe)
         mismatched = store.wmc(phi & store.cube({x: True, xp: False}), weights, universe)
@@ -155,7 +167,7 @@ class TestCompileStmtRules:
     def test_flip_probability_ratio(self):
         program = parse("x ~ flip(3/5)")
         store, banks = allocate_banks(program)
-        phi, weights = compile_stmt(program.body, banks, store)
+        phi, weights = compile_stmt(program.body, banks, store), banks.weights
         for value in (False, True):
             conditioned = phi & store.cube({banks.unprimed["x"]: value})
             numerator = store.wmc(
@@ -167,14 +179,14 @@ class TestCompileStmtRules:
     def test_flip_weights_recorded(self):
         program = parse("x ~ flip(3/5)")
         store, banks = allocate_banks(program)
-        _, weights = compile_stmt(program.body, banks, store)
+        weights = banks.weights
         assert weights.weight(banks.flip_var[0]) == (Fraction(3, 5), Fraction(2, 5))
         assert weights.weight(banks.unprimed["x"]) == (1, 1)
 
     def test_chain_transition_to_z(self):
         program = parse(FIG_CHAIN)
         store, banks = allocate_banks(program)
-        phi, weights = compile_stmt(program.body, banks, store)
+        phi, weights = compile_stmt(program.body, banks, store), banks.weights
         init = state_cube(State.all_false(program.vars), banks.unprimed, store)
         conditioned = phi & init
         numerator = store.wmc(
@@ -186,7 +198,7 @@ class TestCompileStmtRules:
     def test_foo_bar1_transition(self):
         program = parse(FOO_BAR1)
         store, banks = allocate_banks(program)
-        phi, weights = compile_stmt(program.body, banks, store)
+        phi, weights = compile_stmt(program.body, banks, store), banks.weights
         init = state_cube(State.all_false(program.vars), banks.unprimed, store)
         target = state_cube(
             State.from_mapping(program.vars, {"x": False, "y": True}),
@@ -228,7 +240,7 @@ class TestCompiledProgramInvariants:
     def test_weights_cover_exactly_the_flips(self):
         program = parse(FIG_CHAIN)
         compiled = compile_program(program)
-        weighted = {var for var, _ in compiled.weights.items()}
+        weighted = {var for var, _ in compiled.banks.weights.items()}
         assert weighted == set(compiled.banks.flip_var.values())
 
     def test_stats_recorded(self):
@@ -244,10 +256,10 @@ class TestFrameFreeCompilation:
     @staticmethod
     def assert_matches_reference(program):
         store, banks = allocate_banks(program)
-        phi, weights = compile_stmt(program.body, banks, store)
+        phi = compile_stmt(program.body, banks, store)
         ref_phi, ref_weights = helpers.reference_compile(program.body, banks, store)
         assert phi == ref_phi
-        assert weights == ref_weights
+        assert banks.weights == ref_weights
 
     def test_random_programs(self):
         rng = random.Random(57)

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from dippl import oracle
+from dippl import infer, oracle
 from dippl.compiler import compile_program, state_cube
 from dippl.generators import gen_chain, gen_grid, grid_var
 from dippl.infer import (
@@ -103,6 +104,25 @@ class TestEventProb:
     def test_default_init_is_all_false(self):
         c = compiled("y := x")
         assert event_prob(c, None, parse_expr("y")).value == 0
+
+
+class TestQueryTiming:
+    @pytest.mark.parametrize("kind", ["event", "transition"])
+    def test_query_ms_covers_conditioning(self, monkeypatch, kind):
+        # query_ms runs from entry to answer, so a slow _conditioned shows
+        c = compiled(FIG_CHAIN)
+        conditioned = infer._conditioned
+
+        def slow_conditioned(*args):
+            time.sleep(0.05)
+            return conditioned(*args)
+
+        monkeypatch.setattr(infer, "_conditioned", slow_conditioned)
+        if kind == "event":
+            result = event_prob(c, None, parse_expr("z"))
+        else:
+            result = transition_prob(c, None, State.all_false(c.program.vars))
+        assert result.stats.query_ms >= 50
 
 
 class TestQueryProperties:
@@ -230,13 +250,13 @@ class TestIntegerCounts:
         init = State.all_false(c.program.vars)
         conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
         universe = c.banks.universe
-        denominator = helpers.reference_wmc(conditioned, c.weights, universe)
+        denominator = helpers.reference_wmc(conditioned, c.banks.weights, universe)
         assert denominator == accept_prob(c, init)
         for name in (c.program.vars[-1], c.program.vars[len(c.program.vars) // 2]):
             result = event_prob(c, init, parse_expr(name))
             event = conditioned & c.store.var(c.banks.primed[name])
             assert result.denominator == denominator
-            assert result.numerator == helpers.reference_wmc(event, c.weights, universe)
+            assert result.numerator == helpers.reference_wmc(event, c.banks.weights, universe)
             assert result.value == result.numerator / result.denominator
             assert all(type(v) is int for v in c.exact_counts.values())
 

@@ -321,6 +321,9 @@ def test_long_chain_walks_in_fresh_interpreter():
         "body = relabel_flips(program.body)\n"
         "assert [f.label for f in flips_of(body)] == list(range(program.flip_count))\n"
         "assert unparse(body) == unparse(program)\n"
+        "text = repr(program)\n"
+        "assert text.startswith('Program(body=Seq(first=Flip(target=')\n"
+        "assert text.endswith(f'flip_count={program.flip_count})')\n"
     )
     result = helpers.run_fresh("-c", code)
     assert result.returncode == 0, result.stderr
@@ -339,6 +342,27 @@ def test_wide_expression_round_trips_in_fresh_interpreter():
         "    assert parse(unparse(program)) == program\n"
         "    assert hash(parse(source).body) == hash(program.body)\n"
         "    assert parse(other) != program\n"
+    )
+    result = helpers.run_fresh("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "rhs, nots",
+    [("!" * 3000 + "x", 3000), ("(" * 1500 + "x" + ")" * 1500, 0), ("!(" * 1000 + "x" + ")" * 1000, 1000)],
+    ids=["3000-nots", "1500-parens", "1000-negated-parens"],
+)
+def test_deep_prefix_nesting_parses_in_fresh_interpreter(rhs, nots):
+    # each "!" and "(" nests one level deeper; the parser does not recurse
+    code = (
+        "from dippl.lang import Not, VarRef, parse, unparse\n"
+        f"program = parse('x ~ flip(1/2); y := {rhs}')\n"
+        "assert parse(unparse(program)) == program\n"
+        "e, depth = program.body.second.rhs, 0\n"
+        "while isinstance(e, Not):\n"
+        "    e, depth = e.inner, depth + 1\n"
+        f"assert depth == {nots} and e == VarRef('x')\n"
+        "assert repr(program).count('Not(inner=') == depth\n"
     )
     result = helpers.run_fresh("-c", code)
     assert result.returncode == 0, result.stderr
