@@ -20,9 +20,13 @@ arithmetic; the product of the scales is divided out once, at the end.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
-The quantifier/renaming operations use per-call memo tables only;
-``wmc`` adds to them an optional table of scaled (int) node counts
-owned by the caller, which a pass reads and, when asked, extends.
+The quantifier/renaming operations use per-call memo tables only.
+Weighted counting is owned by the store: the count layout of a weight
+function and universe (positions, scaled weights, prefix products) and
+the table of scaled node counts computed under them live in the
+operation cache, keyed by the two by value, so every caller that counts
+with equal weights over an equal universe shares one layout and one
+table, and ``clear_op_cache`` frees them with the rest of the cache.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
-_OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE = range(7)
+_OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE, _OP_WMC = range(8)
 
 _OP_CODES = {
     "and": _OP_AND,
@@ -73,15 +77,20 @@ class WeightFn:
 
     Unlisted variables weigh (1, 1).  Weights must be nonnegative exact
     rationals (floats are rejected to keep model counts exact).
+
+    Equal weight functions hash equal, so they can key a store's count
+    layout by value.  The hash covers the listed variable ids only:
+    hashing every ``Fraction`` would cost far more than the ids.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries: Mapping[int, tuple[Weight, Weight]] = ()):
         store: dict[int, tuple[Fraction, Fraction]] = {}
         for var, (wt, wf) in dict(entries).items():
             store[var] = (self._coerce(wt), self._coerce(wf))
         self._entries = store
+        self._hash = hash(frozenset(store))
 
     @staticmethod
     def _coerce(w: Weight) -> Fraction:
@@ -101,6 +110,9 @@ class WeightFn:
     def __eq__(self, other):
         return isinstance(other, WeightFn) and self._entries == other._entries
 
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return f"WeightFn({self._entries!r})"
 
@@ -113,6 +125,47 @@ class _NoCache(dict):
 
     def __setitem__(self, key, value):
         pass
+
+
+class _CountLayout:
+    """What ``NodeStore.wmc`` needs to count under one weight function
+    and universe.
+
+    ``position`` maps each universe variable to its index in the sorted
+    universe; ``wt``/``wf`` are the scaled int weights by index and
+    ``scale`` the product of the scales.  ``prefix`` holds the prefix
+    products of the nonzero smoothing factors and ``zeros`` a running
+    count of zero factors, so any interval product is one division.
+    ``table`` maps nodes to the scaled counts computed so far.
+    """
+
+    __slots__ = ("position", "size", "wt", "wf", "prefix", "zeros", "scale", "table")
+
+    def __init__(self, weights: WeightFn, universe: frozenset[int]):
+        uni = sorted(universe)
+        self.position = {var: i for i, var in enumerate(uni)}
+        self.size = len(uni)
+        self.wt: list[int] = []
+        self.wf: list[int] = []
+        self.prefix = [1]
+        self.zeros = [0]
+        self.scale = 1
+        for var in uni:
+            t, f = weights.weight(var)
+            s = lcm(t.denominator, f.denominator)
+            t = t.numerator * (s // t.denominator)
+            f = f.numerator * (s // f.denominator)
+            self.wt.append(t)
+            self.wf.append(f)
+            self.scale *= s
+            factor = t + f
+            if factor == 0:
+                self.prefix.append(self.prefix[-1])
+                self.zeros.append(self.zeros[-1] + 1)
+            else:
+                self.prefix.append(self.prefix[-1] * factor)
+                self.zeros.append(self.zeros[-1])
+        self.table: dict[int, int] = {0: 0, 1: 1}
 
 
 class Bdd:
@@ -226,6 +279,8 @@ class NodeStore:
         return len(self._var)
 
     def clear_op_cache(self):
+        """Drop every cached result, ``wmc``'s count layouts and tables
+        included; handles and the nodes behind them stay valid."""
         self._cache.clear()
 
     # -- node construction ---------------------------------------------------
@@ -432,28 +487,7 @@ class NodeStore:
 
     def exists(self, vars: Iterable[int], a: Bdd) -> Bdd:
         """Existential quantification over a set of variables."""
-        qvars = frozenset(vars)
-        for var in qvars:
-            self._check_var(var)
-        root = self._own(a)
-        if not qvars:
-            return a
-        max_q = max(qvars)
-        memo: dict[int, int] = {}
-
-        def rec(u: int) -> int:
-            if u <= 1 or self._var[u] > max_q:
-                return u
-            hit = memo.get(u)
-            if hit is not None:
-                return hit
-            var = self._var[u]
-            lo, hi = rec(self._lo[u]), rec(self._hi[u])
-            result = self._apply(_OP_OR, lo, hi) if var in qvars else self._mk(var, lo, hi)
-            memo[u] = result
-            return result
-
-        return self._wrap(rec(root))
+        return self.and_exists(a, self.true, vars)
 
     def and_exists(self, a: Bdd, b: Bdd, vars: Iterable[int]) -> Bdd:
         """``exists(vars, a & b)`` without building the full conjunction.
@@ -583,15 +617,13 @@ class NodeStore:
         weights: WeightFn,
         universe: Iterable[int],
         *,
-        table: Optional[dict] = None,
         extend_table: bool = False,
     ) -> Fraction:
         """Weighted model count of ``a`` over total assignments to ``universe``.
 
         Sums, over assignments satisfying ``a``, the product of the weight
-        of every literal in the assignment.  One bottom-up pass with a
-        per-call memo; universe variables absent from a path contribute
-        their smoothing factor.
+        of every literal in the assignment.  One bottom-up pass; universe
+        variables absent from a path contribute their smoothing factor.
 
         The pass runs on Python ints: each universe variable's weights
         ``(t, f)`` are scaled by ``s = lcm(t.denominator, f.denominator)``,
@@ -601,46 +633,17 @@ class NodeStore:
         scales, as a ``Fraction``.
 
         A node's scaled count depends only on the node, ``weights`` and
-        ``universe``.  ``table`` maps nodes to scaled counts computed
-        earlier with the same two; the pass reads it, and writes the nodes
-        it counts into it only when ``extend_table`` is set.  The caller
-        owns the table and must never pass it with other weights or
-        another universe.
+        ``universe``, so the store keeps one layout and one table of node
+        counts per weight function and universe (compared by value), built
+        at their first count.  Every pass reads the table; it writes the
+        nodes it counts into it only when ``extend_table`` is set.
         """
         root = self._own(a)
-        uni = sorted(set(universe))
-        for var in uni:
-            self._check_var(var)
-        position = {var: i for i, var in enumerate(uni)}
-        size = len(uni)
-        wt: list[int] = []
-        wf: list[int] = []
-        # prefix products of the nonzero smoothing factors, plus a running
-        # count of zero factors, so any interval product is one division
-        prefix = [1]
-        zeros = [0]
-        scale = 1
-        for var in uni:
-            t, f = weights.weight(var)
-            s = lcm(t.denominator, f.denominator)
-            t = t.numerator * (s // t.denominator)
-            f = f.numerator * (s // f.denominator)
-            wt.append(t)
-            wf.append(f)
-            scale *= s
-            factor = t + f
-            if factor == 0:
-                prefix.append(prefix[-1])
-                zeros.append(zeros[-1] + 1)
-            else:
-                prefix.append(prefix[-1] * factor)
-                zeros.append(zeros[-1])
-
-        if table is None:
-            table = {}
+        layout = self._count_layout(weights, universe)
+        position, size = layout.position, layout.size
+        wt, wf, prefix, zeros = layout.wt, layout.wf, layout.prefix, layout.zeros
+        table = layout.table
         memo = table if extend_table else {}
-        memo[0] = 0
-        memo[1] = 1
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
 
         def node_value(u: int) -> int:
@@ -671,13 +674,26 @@ class NodeStore:
         try:
             count = edge(root, 0)
         except KeyError:
-            missing = {var_of[u] for u in self._nodes(root)}.difference(uni)
+            missing = {var_of[u] for u in self._nodes(root)}.difference(position)
             if not missing:
                 raise
             raise SupportOutsideUniverse(
                 f"support variables {sorted(missing)} not in the universe"
             ) from None
-        return Fraction(count, scale)
+        return Fraction(count, layout.scale)
+
+    def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:
+        """The layout and count table of ``(weights, universe)``: kept in
+        the op cache, so a store without one builds it for every pass."""
+        universe = frozenset(universe)
+        key = (_OP_WMC, weights, universe)
+        layout = self._cache.get(key)
+        if layout is None:
+            for var in universe:
+                self._check_var(var)
+            layout = _CountLayout(weights, universe)
+            self._cache[key] = layout
+        return layout
 
     # -- export ----------------------------------------------------------------
 

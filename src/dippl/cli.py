@@ -6,7 +6,7 @@ Subcommands::
     dippl oracle <file> --query <expr> [--init ...] [--check] [--json]
     dippl compile <file> [--dot out.dot] [--stats out.json]
     dippl bench --family chain|grid|ladder --sizes a..b[:step] [--det d,...]
-                --seed n --out file.csv [--float]
+                --seed n --out file.csv
 
 Exit codes: 0 success, 1 malformed input or bad usage, 2 infeasible
 evidence (every execution path rejected), 3 internal errors (including
@@ -14,9 +14,8 @@ oracle runs beyond the variable cap).
 
 ``bench`` writes one CSV row per (family, size, determinism) cell with
 the schema ``family,size,determinism,seed,node_count,compile_ms,
-query_ms,mode``; timings are wall-clock milliseconds, ``mode`` is
-``rational`` or ``float``, and ``determinism`` is 0 for families
-without a determinism knob.
+query_ms``; timings are wall-clock milliseconds, and ``determinism`` is
+0 for families without a determinism knob.
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ def _parse_sizes(text: str) -> list[int]:
         raise _UsageError(f"bad size list {text!r}") from None
 
 
-def _bench_cell(spec: generators.BenchSpec, det_text: str, floats: bool) -> dict:
+def _bench_cell(spec: generators.BenchSpec, det_text: str) -> dict:
     compiled = compile_program(parse(spec.source()))
     result = event_prob(compiled, None, parse_expr(spec.query_var()))
     return {
@@ -220,7 +219,6 @@ def _bench_cell(spec: generators.BenchSpec, det_text: str, floats: bool) -> dict
         "node_count": compiled.stats.node_count,
         "compile_ms": round(compiled.stats.compile_ms, 3),
         "query_ms": round(result.stats.query_ms, 3),
-        "mode": "float" if floats else "rational",
     }
 
 
@@ -232,7 +230,6 @@ BENCH_COLUMNS = [
     "node_count",
     "compile_ms",
     "query_ms",
-    "mode",
 ]
 
 
@@ -253,7 +250,7 @@ def cmd_bench(args) -> int:
         writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
         for spec, det in specs:
-            row = _bench_cell(spec, det, args.float)
+            row = _bench_cell(spec, det)
             writer.writerow(row)
             print(
                 f"{row['family']} size={row['size']} det={row['determinism']} "
@@ -297,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--det", help="comma list of determinism fractions (grid only)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--float", action="store_true")
     bench.set_defaults(func=cmd_bench)
     return parser
 

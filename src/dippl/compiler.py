@@ -65,7 +65,7 @@ linear-size diagrams for chain-structured programs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bdd import Bdd, NodeStore, WeightFn
@@ -306,9 +306,6 @@ class CompiledProgram:
     banks: VarBanks
     program: Program
     stats: CompileStats
-    # the NodeStore.wmc table of scaled int counts shared by this
-    # program's queries; see dippl.infer
-    exact_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def store(self) -> NodeStore:

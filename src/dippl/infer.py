@@ -26,16 +26,17 @@ ints scaled by a product ``S`` of the weights' denominators and divides
 the answer; there is no second arithmetic.
 
 A node's scaled count depends only on the node, the weights and the
-universe, and all three are fixed for a ``CompiledProgram``, so the
-queries on one program share a table of node counts (freed with the
-program).  Passes over a conditioned diagram ``phi & <s>``
-(denominators and ``accept_prob``) add their nodes to it; numerator
-passes only read it.  Below its event's variables a numerator
-diagram is ``phi & <s>`` itself, so once the denominator is known a
-numerator counts only the nodes above its event, and a repeated
-denominator costs one lookup.  Keeping numerator nodes out bounds the
-table by the conditioned diagrams.  The table makes a compiled program
-stateful: queries on one ``CompiledProgram`` must not run concurrently.
+universe, and the store keeps one table of node counts per weights and
+universe (see ``NodeStore.wmc``), so the queries on one program share
+it; it lives in the program's store and is freed with it.  Passes over a
+conditioned diagram ``phi & <s>`` (denominators and ``accept_prob``)
+add their nodes to it; numerator passes only read it.  Below its
+event's variables a numerator diagram is ``phi & <s>`` itself, so once
+the denominator is known a numerator counts only the nodes above its
+event, and a repeated denominator costs one lookup.  Keeping numerator
+nodes out bounds the table by the conditioned diagrams.  The table, like
+the rest of the store, makes a compiled program stateful: queries on
+one ``CompiledProgram`` must not run concurrently.
 
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
@@ -118,15 +119,11 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
 
 
 def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fraction:
-    """WMC of ``bdd`` through the program's shared table; only passes
-    over conditioned diagrams (``phi & <s>``) extend it."""
-    return compiled.store.wmc(
-        bdd,
-        compiled.banks.weights,
-        compiled.banks.universe,
-        table=compiled.exact_counts,
-        extend_table=extend_table,
-    )
+    """WMC of ``bdd`` through the store's table for the program's weights
+    and universe; only passes over conditioned diagrams (``phi & <s>``)
+    extend it."""
+    banks = compiled.banks
+    return compiled.store.wmc(bdd, banks.weights, banks.universe, extend_table=extend_table)
 
 
 def _ratio(

@@ -421,34 +421,53 @@ class _Parser:
         return ParseError(message, tok.line, tok.column)
 
     # stmt := atom (";" atom)* ";"?   (sequencing nests to the right)
+    # atom := "if" expr "{" stmt "}" "else" "{" stmt "}" | simple
+    #
+    # Parsed without recursion, since "if"s nest as deep as they are
+    # written: ``atoms`` holds the atoms of the innermost open sequence,
+    # and ``outer`` has one entry per enclosing "if": the atoms of the
+    # sequence the "if" belongs to, its condition, and its then branch
+    # once that is closed.
     def parse_stmt(self) -> Stmt:
-        atoms = [self.parse_atom()]
-        while self.peek().kind == ";":
-            self.advance()
-            if self.peek().kind in ("eof", "}"):
-                break
-            atoms.append(self.parse_atom())
-        stmt = atoms[-1]
-        for atom in reversed(atoms[:-1]):
-            stmt = Seq(atom, stmt)
-        return stmt
+        outer: list[tuple] = []
+        atoms: list[Stmt] = []
+        while True:
+            if self.peek().kind == "if":
+                self.advance()
+                cond = self.parse_expr()
+                self.expect("{")
+                outer.append((atoms, cond, None))
+                atoms = []
+                continue
+            atoms.append(self.parse_simple())
+            # a ";" and another atom continue the sequence; anything else
+            # ends it, and a "}" then closes a branch of the innermost "if"
+            while True:
+                if self.peek().kind == ";":
+                    self.advance()
+                    if self.peek().kind not in ("eof", "}"):
+                        break
+                stmt = atoms[-1]
+                for atom in reversed(atoms[:-1]):
+                    stmt = Seq(atom, stmt)
+                if not outer:
+                    return stmt
+                self.expect("}")
+                atoms, cond, then_branch = outer.pop()
+                if then_branch is None:
+                    self.expect("else")
+                    self.expect("{")
+                    outer.append((atoms, cond, stmt))
+                    atoms = []
+                    break
+                atoms.append(If(cond, then_branch, stmt))
 
-    def parse_atom(self) -> Stmt:
+    def parse_simple(self) -> Stmt:
+        """A statement other than "if"."""
         tok = self.peek()
         if tok.kind == "skip":
             self.advance()
             return Skip()
-        if tok.kind == "if":
-            self.advance()
-            cond = self.parse_expr()
-            self.expect("{")
-            then_branch = self.parse_stmt()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            else_branch = self.parse_stmt()
-            self.expect("}")
-            return If(cond, then_branch, else_branch)
         if tok.kind == "observe":
             self.advance()
             self.expect("(")
@@ -599,25 +618,35 @@ def _expr_text(e: Expr) -> str:
     return "".join(out)
 
 
-def _stmt_text(s: Stmt, separator: str) -> str:
-    return separator.join(_atom_text(a) for a in seq_atoms(s))
-
-
-def _atom_text(s: Stmt) -> str:
-    if isinstance(s, Skip):
-        return "skip"
-    if isinstance(s, Assign):
-        return f"{s.target} := {_expr_text(s.rhs)}"
-    if isinstance(s, Flip):
-        return f"{s.target} ~ flip({s.theta})"
-    if isinstance(s, Observe):
-        return f"observe({_expr_text(s.cond)})"
-    if isinstance(s, If):
-        return (
-            f"if {_expr_text(s.cond)} {{ {_stmt_text(s.then_branch, '; ')} }}"
-            f" else {{ {_stmt_text(s.else_branch, '; ')} }}"
-        )
-    raise TypeError(f"not a statement: {s!r}")
+def _stmt_text(s: Stmt) -> str:
+    """Source text of ``s`` on one line, built left to right with an
+    explicit stack, since "if"s nest as deep as they are written."""
+    out: list[str] = []
+    # entries are statements still to print or text to emit
+    stack: list = [s]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, Seq):
+            atoms = seq_atoms(item)
+            stack.append(atoms[-1])
+            for atom in reversed(atoms[:-1]):
+                stack += ("; ", atom)
+        elif isinstance(item, Skip):
+            out.append("skip")
+        elif isinstance(item, Assign):
+            out.append(f"{item.target} := {_expr_text(item.rhs)}")
+        elif isinstance(item, Flip):
+            out.append(f"{item.target} ~ flip({item.theta})")
+        elif isinstance(item, Observe):
+            out.append(f"observe({_expr_text(item.cond)})")
+        elif isinstance(item, If):
+            out.append(f"if {_expr_text(item.cond)} {{ ")
+            stack += (" }", item.else_branch, " } else { ", item.then_branch)
+        else:
+            raise TypeError(f"not a statement: {item!r}")
+    return "".join(out)
 
 
 def unparse(program: Program | Stmt) -> str:
@@ -631,7 +660,7 @@ def unparse(program: Program | Stmt) -> str:
     prints flat and reparses right-nested).
     """
     body = program.body if isinstance(program, Program) else program
-    return _stmt_text(body, ";\n")
+    return ";\n".join(_stmt_text(atom) for atom in seq_atoms(body))
 
 
 # ---------------------------------------------------------------------------

@@ -274,19 +274,20 @@ class TestWmc:
             )
 
     def test_shared_table(self):
-        # one table across many diagrams of one store, weights and universe
+        # one store-owned table across many diagrams of one store, weights
+        # and universe
         rng = random.Random(29)
         store = fresh_store(6)
         variables = list(range(6))
         weights = WeightFn({v: (Fraction(v, 7), Fraction(7 - v, 5)) for v in variables})
-        table: dict = {}
+        table = store._count_layout(weights, variables).table
         for _ in range(60):
             a = helpers.random_bdd(rng, store, variables)
             expected = helpers.brute_force_wmc(a, weights, variables)
             before = dict(table)
-            assert store.wmc(a, weights, variables, table=table) == expected
+            assert store.wmc(a, weights, variables) == expected
             assert table == before  # a read-only pass adds nothing
-            assert store.wmc(a, weights, variables, table=table, extend_table=True) == expected
+            assert store.wmc(a, weights, variables, extend_table=True) == expected
             assert set(table) - set(before) <= {0, 1} | self.reachable(a)
             assert self.reachable(a) <= set(table)
 
@@ -294,7 +295,7 @@ class TestWmc:
         # random weight sets over 8 variables: zero weights and (0, 0)
         # levels, mixed denominators, integer weights above 1, and
         # diagrams on part of the universe; each weight set and universe
-        # shares one table, read before it is extended
+        # has its own table in the one store, read before it is extended
         rng = random.Random(47)
         store = fresh_store(8)
         pool = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(5, 2)]
@@ -309,20 +310,77 @@ class TestWmc:
                 }
             )
             seen["zero level"] += any(w == (0, 0) for _, w in weights.items())
-            table: dict = {}
             for _ in range(8):
                 support = rng.sample(universe, rng.randint(1, len(universe)))
                 a = helpers.random_bdd(rng, store, support)
                 expected = helpers.reference_wmc(a, weights, universe)
                 assert expected == helpers.brute_force_wmc(a, weights, universe)
-                read = store.wmc(a, weights, universe, table=table)
-                extended = store.wmc(a, weights, universe, table=table, extend_table=True)
+                read = store.wmc(a, weights, universe)
+                extended = store.wmc(a, weights, universe, extend_table=True)
                 assert read == extended == expected
                 assert type(read) is Fraction and type(extended) is Fraction
                 seen["absent"] += len(store.support(a)) < len(universe)
                 seen["zero count"] += expected == 0
+            table = store._count_layout(weights, universe).table
             assert all(type(v) is int for v in table.values())
         assert all(seen.values()), seen
+
+    def test_interleaved_weights_and_universes_share_one_store(self):
+        # counts under two weight functions and two universes, interleaved
+        # on one store and extending every table, stay exact
+        rng = random.Random(53)
+        store = fresh_store(7)
+        keys = [
+            (WeightFn({v: (Fraction(1, v + 2), Fraction(v, 3)) for v in range(7)}), range(7)),
+            (WeightFn({v: (Fraction(2, 5), 3) for v in range(0, 7, 2)}), range(7)),
+            (WeightFn({v: (Fraction(1, v + 2), Fraction(v, 3)) for v in range(7)}), range(1, 6)),
+            (WeightFn({v: (Fraction(2, 5), 3) for v in range(0, 7, 2)}), range(1, 6)),
+        ]
+        for _ in range(40):
+            weights, universe = rng.choice(keys)
+            a = helpers.random_bdd(rng, store, list(universe))
+            expected = helpers.brute_force_wmc(a, weights, list(universe))
+            assert store.wmc(a, weights, universe, extend_table=True) == expected
+            for weights, universe in keys:
+                if store.support(a) <= set(universe):
+                    assert store.wmc(a, weights, universe) == helpers.brute_force_wmc(
+                        a, weights, list(universe)
+                    )
+        layouts = {id(store._count_layout(w, u)) for w, u in keys}
+        assert len(layouts) == 4
+
+    def test_equal_keys_reuse_one_layout(self):
+        store = fresh_store(4)
+        entries = {0: (Fraction(1, 3), Fraction(2, 3)), 2: (1, Fraction(1, 2))}
+        a = store.var(0) | store.var(2)
+        first = store.wmc(a, WeightFn(entries), frozenset({0, 1, 2, 3}), extend_table=True)
+        layout = store._count_layout(WeightFn(entries), {0, 1, 2, 3})
+        # an equal but distinct WeightFn, and the universe as a list
+        assert store.wmc(a, WeightFn(dict(entries)), [3, 2, 1, 0]) == first
+        assert store._count_layout(WeightFn(entries), [0, 1, 2, 3]) is layout
+        assert hash(WeightFn(entries)) == hash(WeightFn(dict(reversed(entries.items()))))
+        layouts = [v for v in store._cache.values() if not isinstance(v, int)]
+        assert layouts == [layout]
+        # clearing the op cache frees the layout and its table
+        store.clear_op_cache()
+        assert store.wmc(a, WeightFn(entries), [0, 1, 2, 3]) == first
+        assert store._count_layout(WeightFn(entries), [0, 1, 2, 3]) is not layout
+
+    def test_uncached_store_keeps_no_table(self):
+        rng = random.Random(59)
+        cached, plain = fresh_store(5), fresh_store(5, op_cache=False)
+        weights = WeightFn({v: (Fraction(v + 1, 9), Fraction(1, v + 1)) for v in range(5)})
+        for _ in range(30):
+            seed = rng.random()
+            counts = []
+            for store in (cached, plain):
+                # the same function on both stores
+                a = helpers.random_bdd(random.Random(seed), store, list(range(5)))
+                counts.append(store.wmc(a, weights, range(5), extend_table=True))
+                assert counts[-1] == helpers.brute_force_wmc(a, weights, list(range(5)))
+            assert counts[0] == counts[1]
+        assert len(plain._cache) == 0
+        assert plain._count_layout(weights, range(5)) is not plain._count_layout(weights, range(5))
 
     @staticmethod
     def reachable(a):

@@ -258,7 +258,8 @@ class TestIntegerCounts:
             assert result.denominator == denominator
             assert result.numerator == helpers.reference_wmc(event, c.banks.weights, universe)
             assert result.value == result.numerator / result.denominator
-            assert all(type(v) is int for v in c.exact_counts.values())
+            table = c.store._count_layout(c.banks.weights, universe).table
+            assert all(type(v) is int for v in table.values())
 
 
 class TestSharedCountTable:
@@ -304,4 +305,6 @@ class TestSharedCountTable:
             for j in range(4):
                 assert event_prob(c, init, parse_expr(grid_var(i, j))).value is not INFEASIBLE
         conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
-        assert len(c.exact_counts) <= c.store.node_count(conditioned) + 2
+        table = c.store._count_layout(c.banks.weights, c.banks.universe).table
+        # the conditioned diagram's nodes and the two terminals, no more
+        assert len(table) == c.store.node_count(conditioned) + 2

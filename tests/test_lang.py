@@ -329,6 +329,19 @@ def test_long_chain_walks_in_fresh_interpreter():
     assert result.returncode == 0, result.stderr
 
 
+def test_deep_if_round_trips_in_fresh_interpreter():
+    # "if"s nest as deep as they are written; parse and unparse walk them
+    code = (
+        "from dippl.lang import parse, unparse\n"
+        "text = 'x ~ flip(1/2);\\n' + 'if x { ' * 1000 + 'y := x' + ' } else { skip }' * 1000\n"
+        "program = parse(text)\n"
+        "assert unparse(program) == text\n"
+        "assert parse(unparse(program)) == program\n"
+    )
+    result = helpers.run_fresh("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_wide_expression_round_trips_in_fresh_interpreter():
     # a 1,500-term || over 5 variables nests 1,500 deep, and a 1,200-long
     # chain nests its sequence as deep; == and hash walk both
