@@ -43,7 +43,7 @@ print(f"z is true; whole diagram: {compiled.stats.node_count} nodes")
 
 # fix the branch variable and drop it: what remains under z=true is
 # exactly the two-independent-flips diagram
-branch_flip = banks.flip_var[0]
+branch_flip = banks.flips[0]
 z_out = banks.primed["z"]
 then_part = store.exists(
     {branch_flip, z_out}, compiled.phi & store.cube({branch_flip: True, z_out: True})

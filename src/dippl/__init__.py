@@ -30,7 +30,6 @@ from .lang import (
     VarRef,
     parse,
     parse_expr,
-    relabel_flips,
     unparse,
     validate,
 )

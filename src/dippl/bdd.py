@@ -338,13 +338,14 @@ class NodeStore:
         to be independent: the variable span of each biconditional must
         not interleave with another's.  This holds for frame formulas
         over banked variables (the intended use); a ValueError reports
-        any interleaving.
+        any interleaving.  A pair ``a: a`` is true and adds nothing.
         """
         spans: list[tuple[int, int]] = []
         for a, b in pairs.items():
             self._check_var(a)
             self._check_var(b)
-            spans.append((a, b) if a < b else (b, a))
+            if a != b:
+                spans.append((a, b) if a < b else (b, a))
         spans.sort()
         for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
             if cur_lo <= prev_hi:
@@ -697,12 +698,10 @@ class NodeStore:
 
     # -- export ----------------------------------------------------------------
 
-    def to_dot(self, a: Bdd, names: Optional[Mapping[int, str]] = None) -> str:
-        """GraphViz rendering: solid high edges, dashed low edges."""
+    def to_dot(self, a: Bdd) -> str:
+        """GraphViz rendering: solid high edges, dashed low edges, and
+        each node labelled with its variable's name."""
         root = self._own(a)
-        label = (
-            (lambda v: names[v]) if names is not None else (lambda v: self._names[v])
-        )
         lines = [
             "digraph bdd {",
             '  ordering="out";',
@@ -715,7 +714,7 @@ class NodeStore:
             text = "T" if u else "F"
             lines.append(f'  n{u} [shape=box, label="{text}"];')
         for u in order:
-            lines.append(f'  n{u} [label="{label(self._var[u])}"];')
+            lines.append(f'  n{u} [label="{self._names[self._var[u]]}"];')
         for u in order:
             lines.append(f"  n{u} -> n{self._lo[u]} [style=dashed];")
             lines.append(f"  n{u} -> n{self._hi[u]} [style=solid];")

@@ -58,8 +58,10 @@ Variable order: each program variable owns three adjacent positions
 sequencing are order-preserving renamings.  Triples of never-flipped
 variables come first in order of first appearance; every flip variable
 sits immediately before the triple of the variable it samples into,
-with these groups ordered by flip label.  This interleaving gives
-linear-size diagrams for chain-structured programs.
+with these groups ordered by their first flip.  Flips are numbered in
+textual order: the k-th flip gets the variable ``f{k}``, weighted by its
+own theta.  This interleaving gives linear-size diagrams for
+chain-structured programs.
 """
 
 from __future__ import annotations
@@ -95,39 +97,36 @@ from .oracle import State
 class VarBanks:
     """Variable-bank bookkeeping for one compiled program.
 
-    ``universe`` (everything except the transient double-primed bank) is
-    the variable set every weighted model count ranges over, and
-    ``weights`` weighs each flip variable ``(theta, 1 - theta)`` and
-    every other variable ``(1, 1)``.
+    ``flips`` holds the flip variable ids in the textual order of the
+    program's flips.  ``universe`` (everything except the transient
+    double-primed bank) is the variable set every weighted model count
+    ranges over, and ``weights`` weighs each flip variable
+    ``(theta, 1 - theta)`` and every other variable ``(1, 1)``.
     """
 
     unprimed: Mapping[str, int]
     primed: Mapping[str, int]
     double_primed: Mapping[str, int]
-    flip_var: Mapping[int, int]  # flip label -> variable id
+    flips: tuple[int, ...]
     universe: frozenset[int]
     weights: WeightFn
-
-    @property
-    def flips(self) -> tuple[int, ...]:
-        """Flip variable ids in flip-label order."""
-        return tuple(self.flip_var[label] for label in sorted(self.flip_var))
 
 
 def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     """Create a store whose global order interleaves flips with their
     targets, and the banks with the program's weights."""
-    flips = sorted(flips_of(program.body), key=lambda f: f.label)
-    # flips grouped by target; groups in order of their first flip label
-    flips_by_target: dict[str, list[Flip]] = {}
-    for flip in flips:
-        flips_by_target.setdefault(flip.target, []).append(flip)
+    flips = flips_of(program.body)
+    # textual flip indices grouped by target; groups in order of their
+    # first flip
+    flips_by_target: dict[str, list[int]] = {}
+    for k, flip in enumerate(flips):
+        flips_by_target.setdefault(flip.target, []).append(k)
 
     store = NodeStore()
     unprimed: dict[str, int] = {}
     primed: dict[str, int] = {}
     double_primed: dict[str, int] = {}
-    flip_var: dict[int, int] = {}
+    flip_ids = [0] * len(flips)
 
     def add_triple(name: str):
         unprimed[name] = store.add_var(name)
@@ -138,15 +137,13 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
         if name not in flips_by_target:
             add_triple(name)
     for name, group in flips_by_target.items():
-        for flip in group:
-            flip_var[flip.label] = store.add_var(f"f{flip.label}")
+        for k in group:
+            flip_ids[k] = store.add_var(f"f{k}")
         add_triple(name)
 
-    universe = frozenset(unprimed.values()) | frozenset(primed.values()) | frozenset(
-        flip_var.values()
-    )
-    weights = WeightFn({flip_var[f.label]: (f.theta, 1 - f.theta) for f in flips})
-    banks = VarBanks(unprimed, primed, double_primed, flip_var, universe, weights)
+    universe = frozenset(unprimed.values()) | frozenset(primed.values()) | frozenset(flip_ids)
+    weights = WeightFn({f: (flip.theta, 1 - flip.theta) for f, flip in zip(flip_ids, flips)})
+    banks = VarBanks(unprimed, primed, double_primed, tuple(flip_ids), universe, weights)
     return store, banks
 
 
@@ -217,14 +214,22 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
     """Compile one statement to its relation BDD.
 
     The relation is the frame-free ``rel`` of ``stmt`` conjoined once
-    with ``gamma`` over the variables ``stmt`` does not write.
+    with ``gamma`` over the variables ``stmt`` does not write.  ``stmt``
+    must have the flips ``banks`` was allocated for; a ValueError
+    reports a mismatch.
     """
+    # ``rec`` visits a then branch before its else branch and a
+    # sequence's atoms in order, so it meets the flips in textual order,
+    # the order of ``banks.flips``
+    flip_ids = iter(banks.flips)
 
     def rec(s: Stmt) -> tuple[Bdd, frozenset[str]]:
         if isinstance(s, Skip):
             return store.true, frozenset()
         if isinstance(s, Flip):
-            f = banks.flip_var[s.label]
+            f = next(flip_ids, None)
+            if f is None:
+                raise ValueError("statement has more flips than its variable banks")
             return store.iff_cube({f: banks.primed[s.target]}), frozenset((s.target,))
         if isinstance(s, Assign):
             target = banks.primed[s.target]
@@ -263,6 +268,8 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
         raise TypeError(f"not a statement: {s!r}")
 
     rel, mod = rec(stmt)
+    if next(flip_ids, None) is not None:
+        raise ValueError("statement has fewer flips than its variable banks")
     return rel & gamma(banks, store, exclude=mod)
 
 

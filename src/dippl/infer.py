@@ -108,13 +108,20 @@ class InferenceResult:
         return self.value is INFEASIBLE
 
 
+def _check_domain(compiled: CompiledProgram, state: State):
+    """Raise ValueError unless ``state`` binds exactly the program's
+    variables."""
+    if set(state.vars) != set(compiled.program.vars):
+        raise ValueError("state domain differs from the program's variables")
+
+
 def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     """``phi & <s>``: the relation restricted to the input state
     ``from_state`` (all-false when missing)."""
     if from_state is None:
         from_state = State.all_false(compiled.program.vars)
-    elif set(from_state.vars) != set(compiled.program.vars):
-        raise ValueError("state domain differs from the program's variables")
+    else:
+        _check_domain(compiled, from_state)
     return compiled.phi & state_cube(from_state, compiled.banks.unprimed, compiled.store)
 
 
@@ -150,8 +157,10 @@ def accept_prob(compiled: CompiledProgram, from_state: Optional[State] = None) -
 def transition_prob(
     compiled: CompiledProgram, from_state: Optional[State], to_state: State
 ) -> InferenceResult:
-    """Conditional probability of ending in exactly ``to_state``."""
+    """Conditional probability of ending in exactly ``to_state``, which
+    must bind every program variable (ValueError otherwise)."""
     begin = time.perf_counter()
+    _check_domain(compiled, to_state)
     conditioned = _conditioned(compiled, from_state)
     target = state_cube(to_state, compiled.banks.primed, compiled.store)
     return _ratio(compiled, conditioned & target, conditioned, begin)
@@ -207,9 +216,11 @@ def check_against_oracle(
         oracle_value: Value = oracle.accepting(program, init)
         compiled_value: Value = accept_prob(compiled, init)
     elif query.mode == "transition":
-        dist = oracle.transition(program, init)
-        oracle_value = INFEASIBLE if dist.is_bottom else dist.prob(query.target)
         compiled_value = transition_prob(compiled, init, query.target).value
+        dist = oracle.transition(program, init)
+        # the oracle's states list the variables in program order
+        target = State.from_mapping(program.vars, query.target.as_dict())
+        oracle_value = INFEASIBLE if dist.is_bottom else dist.prob(target)
     else:
         oracle_value = oracle.output_marginal(program, init, query.event)
         compiled_value = event_prob(compiled, init, query.event).value

@@ -60,8 +60,8 @@ class _Node:
     """Base of the AST node classes: structural ``==``, ``hash`` and
     ``repr``.
 
-    ``==`` and ``hash`` compare the node type and every field, flip
-    labels included; ``repr`` prints the dataclass form, e.g.
+    ``==`` and ``hash`` compare the node type and every field; ``repr``
+    prints the dataclass form, e.g.
     ``Not(inner=VarRef(name='y'))``.  All three walk the tree with an
     explicit stack, since operator chains and sequences nest as deep as
     they are long.
@@ -170,16 +170,18 @@ class Assign(_Node):
 class Flip(_Node):
     """``target ~ flip(theta)``.
 
-    ``label`` is not part of the concrete syntax; the parser numbers flips
-    0, 1, 2, ... in textual order so each flip can be referred to uniquely
-    (it becomes the flip's propositional variable during compilation).
+    Each occurrence of a flip in a program is an independent draw: the
+    compiler gives it a fresh propositional variable, numbering flips in
+    textual order, so one node may occur more than once.  ``theta`` is
+    an exact rational; floats are rejected, as by ``WeightFn``.
     """
 
     target: str
     theta: Fraction
-    label: int
 
     def __post_init__(self):
+        if isinstance(self.theta, float):
+            raise TypeError("flip parameters must be exact rationals, not floats")
         object.__setattr__(self, "theta", Fraction(self.theta))
         if not 0 <= self.theta <= 1:
             raise ValueError(f"flip parameter {self.theta} outside [0, 1]")
@@ -266,47 +268,13 @@ def flips_of(s: Stmt) -> list[Flip]:
     return [node for node in _walk_stmts(s) if isinstance(node, Flip)]
 
 
-def relabel_flips(s: Stmt) -> Stmt:
-    """Rebuild ``s`` with flip labels renumbered 0.. in textual order.
-
-    Convenient when assembling ASTs by hand; parsed programs already
-    carry correct labels.
-    """
-    label = 0
-    built: list[Stmt] = []
-    # (node, children done): a compound node is rebuilt from the last
-    # entries of ``built`` once its children are
-    stack: list[tuple[Stmt, bool]] = [(s, False)]
-    while stack:
-        node, done = stack.pop()
-        if isinstance(node, Flip):
-            built.append(Flip(node.target, node.theta, label))
-            label += 1
-        elif isinstance(node, Seq):
-            if done:
-                second = built.pop()
-                built.append(Seq(built.pop(), second))
-            else:
-                stack.extend([(node, True), (node.second, False), (node.first, False)])
-        elif isinstance(node, If):
-            if done:
-                else_branch = built.pop()
-                built.append(If(node.cond, built.pop(), else_branch))
-            else:
-                stack.extend(
-                    [(node, True), (node.else_branch, False), (node.then_branch, False)]
-                )
-        else:
-            built.append(node)
-    return built[0]
-
-
 @dataclass(frozen=True)
 class Program:
     """A statement plus derived bookkeeping.
 
     ``vars`` lists every program variable exactly once, in order of first
-    textual appearance; ``flip_count`` is the number of flip statements.
+    textual appearance; ``flip_count`` is the number of flip statements,
+    each occurrence of a reused ``Flip`` node counted.
     """
 
     body: Stmt
@@ -321,21 +289,19 @@ class Program:
             for name in expr_vars(e):
                 seen.setdefault(name)
 
-        labels = set()
+        flip_count = 0
         for node in _walk_stmts(body):
             if isinstance(node, Assign):
                 seen.setdefault(node.target)
                 note_expr(node.rhs)
             elif isinstance(node, Flip):
                 seen.setdefault(node.target)
-                if node.label in labels:
-                    raise ValueError(f"duplicate flip label {node.label}")
-                labels.add(node.label)
+                flip_count += 1
             elif isinstance(node, If):
                 note_expr(node.cond)
             elif isinstance(node, Observe):
                 note_expr(node.cond)
-        return cls(body=body, vars=tuple(seen), flip_count=len(labels))
+        return cls(body=body, vars=tuple(seen), flip_count=flip_count)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +362,6 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.flip_label = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -486,9 +451,7 @@ class _Parser:
                 self.expect("(")
                 theta = self.parse_number()
                 self.expect(")")
-                label = self.flip_label
-                self.flip_label += 1
-                return Flip(name, theta, label)
+                return Flip(name, theta)
             raise self.error("expected ':=' or '~' after identifier")
         raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
 
@@ -654,8 +617,7 @@ def unparse(program: Program | Stmt) -> str:
 
     ``parse(unparse(p))`` is structurally equal to ``p`` for every
     program the parser can produce.  Hand-built ASTs round-trip when
-    they are in the parser's normal form: flip labels numbered in
-    textual order (see relabel_flips) and sequences nested to the right
+    they are in the parser's normal form: sequences nested to the right
     (the grammar has no statement grouping, so a ``Seq`` chain always
     prints flat and reparses right-nested).
     """

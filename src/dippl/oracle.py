@@ -300,6 +300,13 @@ class _Evaluator:
             reached = self._interned[values] = State(self.vars, values)
         return reached
 
+    def _position(self, name: str) -> int:
+        """Index of the written variable ``name`` in the state tuple."""
+        try:
+            return self.index[name]
+        except KeyError:
+            raise UnknownVariable(name) from None
+
     def transition(self, stmt: Stmt, state: State) -> StateDistribution:
         mass = self.mass(stmt, state)
         if self._rejected:
@@ -341,12 +348,12 @@ class _Evaluator:
             return kept
         out: dict[State, Fraction] = {}
         if isinstance(atom, Assign):
-            pos = self.index[atom.target]
+            pos = self._position(atom.target)
             for s, m in mass.items():
                 t = self._replace(s, pos, _evaluate(atom.rhs, s.values, self.index))
                 out[t] = out[t] + m if t in out else m
         elif isinstance(atom, Flip):
-            pos = self.index[atom.target]
+            pos = self._position(atom.target)
             arms = [(v, w) for v, w in ((True, atom.theta), (False, _ONE - atom.theta)) if w]
             for s, m in mass.items():
                 for value, k in arms:

@@ -45,7 +45,6 @@ from dippl.lang import (
     Skip,
     Stmt,
     VarRef,
-    relabel_flips,
 )
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def _random_atom(rng, names, flips_left, depth, observe_p):
             rng, names, flips_left - used1, depth - 1, observe_p, rng.randint(1, 2)
         )
         return If(random_expr(rng, names), first, second), used1 + used2
-    return Flip(rng.choice(names), rng.choice(_THETAS), 0), 1
+    return Flip(rng.choice(names), rng.choice(_THETAS)), 1
 
 
 def _random_block(rng, names, flips_left, depth, observe_p, length):
@@ -287,7 +286,7 @@ def random_program(
     body, _ = _random_block(
         rng, names, max_flips, depth, observe_p, rng.randint(2, 4)
     )
-    return Program.from_stmt(relabel_flips(body))
+    return Program.from_stmt(body)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +313,8 @@ def reference_compile(stmt: Stmt, banks, store: NodeStore) -> tuple[Bdd, WeightF
     unshift = {banks.double_primed[x]: banks.primed[x] for x in banks.primed}
     primed = list(banks.primed.values())
     weights: dict[int, tuple[Fraction, Fraction]] = {}
+    # ``rec`` meets the flips in textual order, the order of ``banks.flips``
+    flip_ids = iter(banks.flips)
 
     def frame_without(name: str) -> dict[int, int]:
         pairs = dict(frame)
@@ -333,7 +334,7 @@ def reference_compile(stmt: Stmt, banks, store: NodeStore) -> tuple[Bdd, WeightF
         if isinstance(s, Skip):
             return store.iff_cube(frame)
         if isinstance(s, Flip):
-            f = banks.flip_var[s.label]
+            f = next(flip_ids)
             weights[f] = (s.theta, 1 - s.theta)
             return store.iff_cube({f: banks.primed[s.target]}) & store.iff_cube(
                 frame_without(s.target)

@@ -215,6 +215,12 @@ class TestIffCube:
         store = fresh_store(3)
         assert store.iff_cube({0: 2}) == store.apply("iff", store.var(0), store.var(2))
 
+    def test_self_pair_is_true(self):
+        # a <=> a holds everywhere and must not build a node on ``a``
+        store = fresh_store(3)
+        assert store.iff_cube({0: 0}).is_true
+        assert store.iff_cube({0: 0, 1: 2}) == store.iff_cube({1: 2})
+
     def test_interleaving_rejected(self):
         store = fresh_store(4)
         with pytest.raises(ValueError):
@@ -473,6 +479,7 @@ class TestDotExport:
         helpers.check_dot(text)
         assert text.count("->") == 2
         assert "style=dashed" in text and "style=solid" in text
+        assert 'label="v0"' in text
 
     def test_random_diagrams_are_valid(self):
         rng = random.Random(31)
@@ -481,10 +488,6 @@ class TestDotExport:
             a = helpers.random_bdd(rng, store, range(5))
             helpers.check_dot(store.to_dot(a))
 
-    def test_custom_names(self):
-        store = fresh_store(1)
-        text = store.to_dot(store.var(0), names={0: "alpha"})
-        assert "alpha" in text
 
 
 class TestCanonicity:

@@ -16,16 +16,21 @@ from dippl.compiler import (
     state_cube,
 )
 from dippl.generators import gen_chain, gen_grid, gen_ladder
+from dippl.infer import Query, check_against_oracle
 from dippl.lang import (
+    Assign,
     Flip,
     If,
     Program,
+    Seq,
     Skip,
     UnknownVariable,
+    VarRef,
     _walk_stmts,
+    flips_of,
     parse,
     parse_expr,
-    relabel_flips,
+    unparse,
 )
 from dippl.oracle import State, all_states, eval_expr
 
@@ -80,11 +85,40 @@ class TestVariableOrder:
     def test_universe_excludes_double_primes(self):
         store, banks = allocate_banks(parse(FIG_CHAIN))
         assert set(banks.double_primed.values()).isdisjoint(banks.universe)
-        assert set(banks.flip_var.values()) <= banks.universe
+        assert set(banks.flips) <= banks.universe
 
-    def test_flips_listed_in_label_order(self):
-        store, banks = allocate_banks(parse(FIG_CHAIN))
-        assert banks.flips == tuple(banks.flip_var[i] for i in range(5))
+    def test_flips_listed_in_textual_order(self):
+        # the k-th flip in textual order is f{k}, weighted by its theta
+        program = parse(FIG_CHAIN)
+        store, banks = allocate_banks(program)
+        flips = flips_of(program.body)
+        assert [flip.theta for flip in flips] == [
+            Fraction(1, 2), Fraction(3, 5), Fraction(2, 5), Fraction(3, 5), Fraction(9, 10)
+        ]
+        assert len(banks.flips) == len(flips)
+        for k, (var, flip) in enumerate(zip(banks.flips, flips)):
+            assert store.var_name(var) == f"f{k}"
+            assert banks.weights.weight(var) == (flip.theta, 1 - flip.theta)
+
+
+class TestFlipNumbering:
+    def test_reused_flip_node_is_two_draws(self):
+        coin = Flip("x", Fraction(1, 2))
+        program = Program.from_stmt(Seq(coin, Seq(Assign("y", VarRef("x")), coin)))
+        assert program.flip_count == 2
+        assert parse(unparse(program)) == program
+        outcome = check_against_oracle(
+            program, Query(mode="marginal", event=parse_expr("x && y"))
+        )
+        assert outcome.equal
+        assert outcome.compiled_value == Fraction(1, 4)
+
+    def test_flip_count_mismatch_rejected(self):
+        store, banks = allocate_banks(parse("x ~ flip(1/2)"))
+        with pytest.raises(ValueError):
+            compile_stmt(parse("x ~ flip(1/2); x ~ flip(1/3)").body, banks, store)
+        with pytest.raises(ValueError):
+            compile_stmt(parse("x := true").body, banks, store)
 
 
 class TestGamma:
@@ -180,7 +214,7 @@ class TestCompileStmtRules:
         program = parse("x ~ flip(3/5)")
         store, banks = allocate_banks(program)
         weights = banks.weights
-        assert weights.weight(banks.flip_var[0]) == (Fraction(3, 5), Fraction(2, 5))
+        assert weights.weight(banks.flips[0]) == (Fraction(3, 5), Fraction(2, 5))
         assert weights.weight(banks.unprimed["x"]) == (1, 1)
 
     def test_chain_transition_to_z(self):
@@ -227,7 +261,7 @@ class TestCompiledProgramInvariants:
             program = helpers.random_program(rng, max_vars=4, max_flips=4, depth=3)
             compiled = compile_program(program)
             store, banks = compiled.store, compiled.banks
-            inputs = sorted(banks.unprimed.values()) + sorted(banks.flip_var.values())
+            inputs = sorted(banks.unprimed.values()) + sorted(banks.flips)
             outputs = sorted(banks.primed.values())
             for in_bits in itertools.product((False, True), repeat=len(inputs)):
                 env = dict(zip(inputs, in_bits))
@@ -241,7 +275,7 @@ class TestCompiledProgramInvariants:
         program = parse(FIG_CHAIN)
         compiled = compile_program(program)
         weighted = {var for var, _ in compiled.banks.weights.items()}
-        assert weighted == set(compiled.banks.flip_var.values())
+        assert weighted == set(compiled.banks.flips)
 
     def test_stats_recorded(self):
         compiled = compile_program(parse(FIG_CHAIN))
@@ -325,7 +359,7 @@ class TestStructure:
         independent = compile_program(parse(LADDER2))
         conditional = compile_program(parse(COND_INDEP))
         store, banks = conditional.store, conditional.banks
-        branch_flip = banks.flip_var[0]
+        branch_flip = banks.flips[0]
         z_out = banks.primed["z"]
         then_cofactor = store.exists(
             {branch_flip, z_out},

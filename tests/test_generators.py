@@ -61,7 +61,7 @@ def rename_vars(stmt, mapping):
         if isinstance(s, Assign):
             return Assign(mapping[s.target], ex(s.rhs))
         if isinstance(s, Flip):
-            return Flip(mapping[s.target], s.theta, s.label)
+            return Flip(mapping[s.target], s.theta)
         if isinstance(s, Observe):
             return Observe(ex(s.cond))
         return s
@@ -120,7 +120,7 @@ class TestChain:
 class TestLadder:
     def test_single_flip(self):
         program = parse(gen_ladder(1))
-        assert program.body == Flip("x1", Fraction(3, 5), 0)
+        assert program.body == Flip("x1", Fraction(3, 5))
         assert compile_program(program).stats.node_count == 3
 
     def test_two_rungs_match_reference(self):

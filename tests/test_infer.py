@@ -68,6 +68,13 @@ class TestTransitionProb:
         result = transition_prob(c, None, state_for(c, x=True, y=True, z=True))
         assert result.value == Fraction(9, 50)  # 1/2 * 3/5 * 3/5
 
+    def test_partial_target_rejected(self):
+        c = compiled("x ~ flip(1/2); y ~ flip(1/3)")
+        with pytest.raises(ValueError):
+            transition_prob(c, None, State(("x",), (True,)))
+        with pytest.raises(ValueError):
+            transition_prob(c, None, State(("x", "y", "z"), (True, True, True)))
+
     def test_infeasible_from(self):
         c = compiled("observe(x)")
         result = transition_prob(c, state_for(c, x=False), state_for(c, x=False))
@@ -189,6 +196,18 @@ class TestCheckAgainstOracle:
         )
         assert outcome.equal
         assert outcome.compiled_value == Fraction(1, 3)
+
+    def test_partial_target_rejected(self):
+        query = Query(mode="transition", target=State(("x",), (True,)))
+        with pytest.raises(ValueError):
+            check_against_oracle(parse("x ~ flip(1/2); y ~ flip(1/3)"), query)
+
+    def test_target_in_any_variable_order(self):
+        program = parse(FOO_BAR1)
+        target = State(("y", "x"), (True, False))
+        outcome = check_against_oracle(program, Query(mode="transition", target=target))
+        assert outcome.equal
+        assert outcome.oracle_value == Fraction(1, 3)
 
     def test_accepting_mode(self):
         outcome = check_against_oracle(parse(FOO_BAR2), Query(mode="accepting"))

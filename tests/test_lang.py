@@ -24,7 +24,6 @@ from dippl.lang import (
     VarRef,
     parse,
     parse_expr,
-    relabel_flips,
     unparse,
     validate,
 )
@@ -53,30 +52,7 @@ class TestParse:
         assert program.vars == ("x", "y", "z")
         assert program.flip_count == 5
         first = program.body.first
-        assert first == Flip("x", Fraction(1, 2), 0)
-
-    def test_flip_labels_in_textual_order(self):
-        program = parse(FIG_CHAIN)
-        thetas = {}
-
-        def collect(s):
-            if isinstance(s, Flip):
-                thetas[s.label] = s.theta
-            elif isinstance(s, Seq):
-                collect(s.first)
-                collect(s.second)
-            elif isinstance(s, If):
-                collect(s.then_branch)
-                collect(s.else_branch)
-
-        collect(program.body)
-        assert [thetas[i] for i in range(5)] == [
-            Fraction(1, 2),
-            Fraction(3, 5),
-            Fraction(2, 5),
-            Fraction(3, 5),
-            Fraction(9, 10),
-        ]
+        assert first == Flip("x", Fraction(1, 2))
 
     def test_assign_observe_tree(self):
         program = parse("x := true; observe(x && !y)")
@@ -136,11 +112,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("if := true")
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            Program.from_stmt(
-                Seq(Flip("x", Fraction(1, 2), 0), Flip("y", Fraction(1, 2), 0))
-            )
+    def test_float_theta_rejected(self):
+        # 0.6 is not 3/5 in binary floating point
+        with pytest.raises(TypeError):
+            Flip("x", 0.6)
+        assert Flip("x", "0.6").theta == Fraction(3, 5)
 
 
 # -- pretty-printer --------------------------------------------------------
@@ -166,7 +142,7 @@ _atoms = st.deferred(
     lambda: st.one_of(
         st.just(Skip()),
         st.builds(Assign, _names, _exprs),
-        st.builds(Flip, _names, _thetas, st.just(0)),
+        st.builds(Flip, _names, _thetas),
         st.builds(Observe, _exprs),
         st.builds(If, _exprs, _stmts, _stmts),
     )
@@ -182,7 +158,7 @@ def _fold_seq(atoms):
 
 _stmts = st.builds(_fold_seq, st.lists(_atoms, min_size=1, max_size=4))
 
-_programs = st.builds(lambda body: Program.from_stmt(relabel_flips(body)), _stmts)
+_programs = st.builds(Program.from_stmt, _stmts)
 
 
 class TestUnparse:
@@ -216,7 +192,7 @@ class TestStructuralEquality:
         assert hash(And(a, b)) == hash(And(VarRef("a"), VarRef("b")))
         assert And(a, b) != Or(a, b) and And(a, b) != And(b, a)
         assert Not(a) != a and a != "a"
-        assert Flip("x", Fraction(1, 2), 0) != Flip("x", Fraction(1, 2), 1)
+        assert Flip("x", Fraction(1, 2)) != Flip("x", Fraction(1, 3))
         assert Seq(Skip(), Seq(Skip(), Skip())) != Seq(Seq(Skip(), Skip()), Skip())
         assert len({parse(FIG_CHAIN).body, parse(FIG_CHAIN).body}) == 1
 
@@ -263,22 +239,8 @@ def test_parser_total_on_grammar():
     for _ in range(300):
         sentence = _random_sentence(rng)
         program = parse(sentence)
-        # labels strictly increase in textual order
-        labels = [s.label for s in _flips_in_order(program.body)]
-        assert labels == list(range(len(labels)))
-        # and the printed form reparses to the same tree
+        # the printed form reparses to the same tree
         assert parse(unparse(program)) == program
-
-
-def _flips_in_order(stmt):
-    if isinstance(stmt, Flip):
-        yield stmt
-    elif isinstance(stmt, Seq):
-        yield from _flips_in_order(stmt.first)
-        yield from _flips_in_order(stmt.second)
-    elif isinstance(stmt, If):
-        yield from _flips_in_order(stmt.then_branch)
-        yield from _flips_in_order(stmt.else_branch)
 
 
 # -- validation --------------------------------------------------------------
@@ -315,12 +277,11 @@ def test_long_chain_walks_in_fresh_interpreter():
     # default recursion limit
     code = (
         "from dippl.generators import gen_chain\n"
-        "from dippl.lang import flips_of, parse, relabel_flips, unparse, validate\n"
+        "from dippl.lang import flips_of, parse, unparse, validate\n"
         "program = parse(gen_chain(1200, 3))\n"
         "assert validate(program) == []\n"
-        "body = relabel_flips(program.body)\n"
-        "assert [f.label for f in flips_of(body)] == list(range(program.flip_count))\n"
-        "assert unparse(body) == unparse(program)\n"
+        "assert len(flips_of(program.body)) == program.flip_count\n"
+        "assert parse(unparse(program)) == program\n"
         "text = repr(program)\n"
         "assert text.startswith('Program(body=Seq(first=Flip(target=')\n"
         "assert text.endswith(f'flip_count={program.flip_count})')\n"

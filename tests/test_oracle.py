@@ -5,6 +5,8 @@ import pytest
 
 import helpers
 from dippl.lang import (
+    TRUE,
+    Assign,
     Flip,
     Observe,
     Program,
@@ -13,7 +15,6 @@ from dippl.lang import (
     UnknownVariable,
     parse,
     parse_expr,
-    relabel_flips,
 )
 from dippl.oracle import (
     INFEASIBLE,
@@ -149,6 +150,14 @@ class TestTransition:
         assert dist.prob(state_of(program, x=False, y=True)) == Fraction(1, 2)
         assert dist.prob(state_of(program, x=False, y=False)) == Fraction(1, 2)
 
+    def test_unknown_written_variable(self):
+        # a write to a variable outside the state is reported like a read
+        state = State(("x",), (False,))
+        with pytest.raises(UnknownVariable):
+            transition(Assign("z", TRUE), state)
+        with pytest.raises(UnknownVariable):
+            transition(Flip("z", Fraction(1, 2)), state)
+
     def test_flip_splits_mass(self):
         program = parse("x ~ flip(2/7)")
         dist = transition(program, state_of(program))
@@ -221,8 +230,8 @@ class TestSemanticProperties:
                 helpers._random_block(rng, names, 2, 2, 0.25, rng.randint(1, 2))[0]
                 for _ in range(3)
             ]
-            left = relabel_flips(Seq(Seq(parts[0], parts[1]), parts[2]))
-            right = relabel_flips(Seq(parts[0], Seq(parts[1], parts[2])))
+            left = Seq(Seq(parts[0], parts[1]), parts[2])
+            right = Seq(parts[0], Seq(parts[1], parts[2]))
             for state in all_states(tuple(names)):
                 assert transition(left, state) == transition(right, state)
                 assert accepting(left, state) == accepting(right, state)
@@ -232,7 +241,6 @@ class TestSemanticProperties:
         names = ["a", "b"]
         for _ in range(40):
             body = helpers._random_block(rng, names, 3, 2, 0.25, rng.randint(1, 2))[0]
-            body = relabel_flips(body)
             pre = Seq(Skip(), body)
             post = Seq(body, Skip())
             for state in all_states(tuple(names)):
