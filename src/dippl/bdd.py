@@ -7,11 +7,13 @@ two functions over one store are equal exactly when their handles are
 equal.
 
 Boolean combinators (``apply``, ``not_``), existential quantification,
-order-preserving renaming, and a fused conjoin-then-quantify
-(``and_exists``) are provided, plus ``wmc``: a single memoized
-bottom-up pass computing the weighted model count over an explicit
-variable universe.  A variable of the universe skipped along a path
-contributes its smoothing factor (weight-true + weight-false).
+renaming (each node it builds is checked against its children, so a
+renaming that would break the order raises where it does), and a fused
+conjoin-then-quantify (``and_exists``) are provided, plus ``wmc``: a
+single memoized bottom-up pass computing the weighted model count over
+an explicit variable universe.  A variable of the universe skipped
+along a path contributes its smoothing factor (weight-true +
+weight-false).
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -537,16 +539,14 @@ class NodeStore:
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._var[u] for u in self._nodes(self._own(a)))
 
-    def _nodes(self, root: int, bound: int = _TERMINAL_VAR) -> set[int]:
-        """Internal nodes reachable from ``root`` whose variables are at
-        most ``bound``: the walk does not descend below a node whose
-        variable exceeds it."""
+    def _nodes(self, root: int) -> set[int]:
+        """Internal nodes reachable from ``root``."""
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
         seen: set[int] = set()
         stack = [root]
         while stack:
             u = stack.pop()
-            if u <= 1 or u in seen or var_of[u] > bound:
+            if u <= 1 or u in seen:
                 continue
             seen.add(u)
             stack.append(lo_of[u])
@@ -556,9 +556,13 @@ class NodeStore:
     def rename(self, mapping: Mapping[int, int], a: Bdd) -> Bdd:
         """Simultaneous variable substitution, a single structural pass.
 
-        The mapping (with unmapped support variables as fixpoints) must be
-        strictly order-preserving on the support, otherwise the pass
-        would not produce an ordered diagram and OrderViolation is raised.
+        Unmapped variables map to themselves.  The pass rebuilds each
+        node on its renamed children, and the node's image must be
+        smaller than the variables those children test; OrderViolation
+        is raised at the first node where it is not.  So a mapping
+        strictly order-preserving on the support never raises, and a
+        mapping that crosses only on paths that never meet (``{1: 2,
+        2: 1}`` on ``ite(v0, v1, v2)``) still substitutes.
         """
         root = self._own(a)
         for var, target in mapping.items():
@@ -566,34 +570,25 @@ class NodeStore:
             self._check_var(target)
         if not mapping:
             return a
-        # variables above the bound map to themselves and every ancestor
-        # of a node has a smaller variable, so the order can only break
-        # on the support at or below the bound
-        bound = max(max(mapping), max(mapping.values()))
-        support = sorted({self._var[u] for u in self._nodes(root, bound)})
-        images = [mapping.get(var, var) for var in support]
-        for prev, cur in zip(images, images[1:]):
-            if prev >= cur:
-                raise OrderViolation(
-                    f"renaming is not order-preserving on the support: "
-                    f"{prev} !< {cur}"
-                )
-        relevant = {var: mapping[var] for var in support if var in mapping}
-        if not relevant:
-            return a
-        max_d = max(relevant)
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        max_d = max(mapping)
         memo: dict[int, int] = {}
 
         def rec(u: int) -> int:
-            if u <= 1 or self._var[u] > max_d:
+            if u <= 1 or var_of[u] > max_d:
                 return u
             hit = memo.get(u)
             if hit is not None:
                 return hit
-            var = self._var[u]
-            result = self._mk(
-                relevant.get(var, var), rec(self._lo[u]), rec(self._hi[u])
-            )
+            var = var_of[u]
+            image = mapping.get(var, var)
+            lo, hi = rec(lo_of[u]), rec(hi_of[u])
+            if image >= var_of[lo] or image >= var_of[hi]:
+                raise OrderViolation(
+                    f"renaming is not order-preserving: {var} -> {image} "
+                    f"above variable {min(var_of[lo], var_of[hi])}"
+                )
+            result = self._mk(image, lo, hi)
             memo[u] = result
             return result
 
@@ -647,17 +642,6 @@ class NodeStore:
         memo = table if extend_table else {}
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
 
-        def node_value(u: int) -> int:
-            hit = memo.get(u)
-            if hit is None:
-                hit = table.get(u)
-            if hit is not None:
-                return hit
-            k = position[var_of[u]]
-            result = wt[k] * edge(hi_of[u], k + 1) + wf[k] * edge(lo_of[u], k + 1)
-            memo[u] = result
-            return result
-
         def edge(child: int, i: int) -> int:
             if child == 0:
                 return 0
@@ -665,7 +649,12 @@ class NodeStore:
             # looked up, and visited even where the span is 0, before it
             # is counted or read from the table
             j = size if child == 1 else position[var_of[child]]
-            count = node_value(child)
+            count = memo.get(child)
+            if count is None:
+                count = table.get(child)
+            if count is None:
+                count = wt[j] * edge(hi_of[child], j + 1) + wf[j] * edge(lo_of[child], j + 1)
+                memo[child] = count
             if j == i:
                 return count
             if zeros[i] != zeros[j]:

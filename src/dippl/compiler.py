@@ -216,7 +216,8 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
     The relation is the frame-free ``rel`` of ``stmt`` conjoined once
     with ``gamma`` over the variables ``stmt`` does not write.  ``stmt``
     must have the flips ``banks`` was allocated for; a ValueError
-    reports a mismatch.
+    reports a mismatch.  A statement that reads or writes a variable
+    outside the banks raises UnknownVariable.
     """
     # ``rec`` visits a then branch before its else branch and a
     # sequence's atoms in order, so it meets the flips in textual order,
@@ -226,6 +227,8 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
     def rec(s: Stmt) -> tuple[Bdd, frozenset[str]]:
         if isinstance(s, Skip):
             return store.true, frozenset()
+        if isinstance(s, (Assign, Flip)) and s.target not in banks.primed:
+            raise UnknownVariable(s.target)
         if isinstance(s, Flip):
             f = next(flip_ids, None)
             if f is None:

@@ -32,11 +32,15 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class ParseError(Exception):
-    """Raised on malformed source text; carries 1-based line/column."""
+    """Raised on malformed source text; carries 1-based line/column.
+
+    The parser keeps only each token's offset and computes the line and
+    column from it when it raises.
+    """
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
@@ -317,50 +321,49 @@ _TOKEN_RE = re.compile(
     | (?P<int>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|\|\||&&|[~!;(){}/])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "decimal", "int", "ident", keyword, operator, or "eof"
     text: str
-    line: int
-    column: int
+    offset: int  # index of the token's first character in the source
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``source``."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """The tokens of ``source``, ending with an "eof" token.
+
+    Tokens carry offsets only; a ``ParseError`` computes its line and
+    column from the offset when it is raised.
+    """
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
         text = m.group()
-        if kind != "ws":
-            col = pos - line_start + 1
-            if kind == "ident" and text in KEYWORDS:
-                kind = text
-            elif kind == "op":
-                kind = text
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", *_position(source, m.start()))
+        if kind == "op" or (kind == "ident" and text in KEYWORDS):
+            kind = text
+        tokens.append(_Token(kind, text, m.start()))
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -371,19 +374,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, *_position(self.source, self.peek().offset))
+
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
 
     # stmt := atom (";" atom)* ";"?   (sequencing nests to the right)
     # atom := "if" expr "{" stmt "}" "else" "{" stmt "}" | simple
@@ -467,7 +465,7 @@ class _Parser:
                 denom_tok = self.expect("int")
                 if int(denom_tok.text) == 0:
                     raise ParseError(
-                        "zero denominator", denom_tok.line, denom_tok.column
+                        "zero denominator", *_position(self.source, denom_tok.offset)
                     )
                 return Fraction(int(tok.text), int(denom_tok.text))
             return Fraction(int(tok.text))
@@ -529,7 +527,7 @@ def parse(source: str) -> Program:
     Raises ParseError (with line/column) on malformed input and ValueError
     when a flip parameter lies outside [0, 1].
     """
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     body = parser.parse_stmt()
     parser.expect("eof")
     return Program.from_stmt(body)
@@ -537,7 +535,7 @@ def parse(source: str) -> Program:
 
 def parse_expr(source: str) -> Expr:
     """Parse a standalone Boolean expression (used for query strings)."""
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     expr = parser.parse_expr()
     parser.expect("eof")
     return expr

@@ -19,6 +19,34 @@ def fresh_store(n, **kw):
     return NodeStore([f"v{i}" for i in range(n)], **kw)
 
 
+def _substitute(store, mapping, a):
+    """``a`` with each variable ``v`` replaced by ``mapping.get(v, v)``,
+    rebuilt node by node with ``ite``, which orders its result whatever
+    the mapping."""
+    memo = {}
+
+    def rec(node):
+        if node.is_terminal:
+            return node
+        if node.idx not in memo:
+            image = store.var(mapping.get(node.var, node.var))
+            memo[node.idx] = store.ite(image, rec(node.high), rec(node.low))
+        return memo[node.idx]
+
+    return rec(a)
+
+
+def _random_tree(rng, store, variables):
+    """A random decision diagram testing ``variables`` in order, each
+    branch skipping its own, so paths that never meet may test
+    different variables."""
+    if not variables or rng.random() < 0.15:
+        return store.constant(rng.random() < 0.5)
+    i = rng.randrange(len(variables))
+    rest = variables[i + 1:]
+    return store.ite(store.var(variables[i]), _random_tree(rng, store, rest), _random_tree(rng, store, rest))
+
+
 class TestConstruction:
     def test_constants(self):
         store = fresh_store(0)
@@ -200,6 +228,53 @@ class TestRename:
         with pytest.raises(OrderViolation):
             store.rename({1: 4}, a)  # 1 -> 4 crosses variable 3
         assert store.support(store.rename({1: 2}, a)) == {0, 2, 3}
+
+    def test_swap_on_disjoint_paths(self):
+        # 1 and 2 cross, but no path tests both: the substitution is
+        # ordered, and rename builds it
+        store = fresh_store(3)
+        v0, v1, v2 = (store.var(i) for i in range(3))
+        assert store.rename({1: 2, 2: 1}, store.ite(v0, v1, v2)) == store.ite(v0, v2, v1)
+
+    def test_against_ite_substitution(self):
+        # random diagrams and random mappings, some neither monotone nor
+        # injective: whenever rename returns, it returns the substitution
+        # built node by node with ite; a mapping strictly order-preserving
+        # on the support never raises
+        rng = random.Random(23)
+        store = fresh_store(7)
+        counts = {"monotone": 0, "crossing": 0, "raised": 0}
+        for _ in range(400):
+            if rng.random() < 0.5:
+                a = _random_tree(rng, store, list(range(7)))
+            else:
+                # odd variables on one side of the root, even on the other
+                a = store.ite(
+                    store.var(0),
+                    _random_tree(rng, store, [1, 3, 5]),
+                    _random_tree(rng, store, [2, 4, 6]),
+                )
+            support = sorted(store.support(a))
+            kind = rng.random()
+            if kind < 0.25:
+                mapping = dict(zip(support, sorted(rng.sample(range(7), len(support)))))
+            elif kind < 0.6:
+                x = rng.randrange(6)
+                mapping = {x: x + 1, x + 1: x}
+            else:
+                keys = rng.sample(range(7), rng.randint(1, 4))
+                mapping = {var: rng.randrange(7) for var in keys}
+            images = [mapping.get(var, var) for var in support]
+            monotone = all(x < y for x, y in zip(images, images[1:]))
+            try:
+                renamed = store.rename(mapping, a)
+            except OrderViolation:
+                assert not monotone, (mapping, support)
+                counts["raised"] += 1
+                continue
+            assert renamed == _substitute(store, mapping, a)
+            counts["monotone" if monotone else "crossing"] += 1
+        assert min(counts.values()) >= 10, counts
 
 
 class TestIffCube:

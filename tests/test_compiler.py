@@ -373,3 +373,13 @@ def test_state_cube_unknown_variable():
     store, banks = allocate_banks(program)
     with pytest.raises(UnknownVariable):
         state_cube(State(("q",), (True,)), banks.unprimed, store)
+
+
+def test_compile_stmt_unknown_written_variable():
+    # a write outside the banks is reported like a read, not as a KeyError
+    store, banks = allocate_banks(parse("x := true"))
+    with pytest.raises(UnknownVariable):
+        compile_stmt(parse("z := x").body, banks, store)
+    store, banks = allocate_banks(parse("x ~ flip(1/2)"))
+    with pytest.raises(UnknownVariable):
+        compile_stmt(parse("z ~ flip(1/2)").body, banks, store)

@@ -87,6 +87,46 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x := true % false")
 
+    @pytest.mark.parametrize(
+        "source, line, column, message",
+        [
+            ("// one\n// two\nx := true % false", 3, 11, "unexpected character '%'"),
+            ("skip;\r\nx := ;", 2, 6, "expected an expression, found ';'"),
+            ("skip;\r\n\r\nx := true $", 3, 11, "unexpected character '$'"),
+            ("x :=\ttrue\t&& @", 1, 14, "unexpected character '@'"),
+            ("x := true;\n\ty := ;", 2, 7, "expected an expression, found ';'"),
+            ("x := \n", 2, 1, "expected an expression, found 'end of input'"),
+            ("a ~ flip(1/0)", 1, 12, "zero denominator"),
+            ("skip;\n  a ~ flip( 3 / 0 )", 2, 17, "zero denominator"),
+            (
+                "if a {\n  if b {\n    x := (a && (b || c)\n  } else { skip }\n} else { skip }",
+                4,
+                3,
+                "expected ')', found '}'",
+            ),
+            ("if a { if b { skip } else { skip } }", 1, 37, "expected 'else', found 'end of input'"),
+            (
+                "if a {\n  if (b || !(c) { skip } else { skip }\n} else { skip }",
+                2,
+                17,
+                "expected ')', found '{'",
+            ),
+            (
+                "if a { x := true } else { if b { skip } else { y ~ flip(1/2 } }",
+                1,
+                61,
+                "expected ')', found '}'",
+            ),
+        ],
+    )
+    def test_error_positions(self, source, line, column, message):
+        # lines count "\n" only (a "\r" is whitespace) and columns count
+        # characters, a tab as one
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"{line}:{column}: {message}"
+
     def test_precedence(self):
         expr = parse_expr("a || b && !c")
         assert expr == Or(VarRef("a"), And(VarRef("b"), Not(VarRef("c"))))
