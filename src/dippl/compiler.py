@@ -87,7 +87,6 @@ from .lang import (
     Stmt,
     UnknownVariable,
     VarRef,
-    flips_of,
     seq_atoms,
 )
 from .oracle import State
@@ -115,7 +114,7 @@ class VarBanks:
 def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     """Create a store whose global order interleaves flips with their
     targets, and the banks with the program's weights."""
-    flips = flips_of(program.body)
+    flips = program.flips
     # textual flip indices grouped by target; groups in order of their
     # first flip
     flips_by_target: dict[str, list[int]] = {}
@@ -215,13 +214,13 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
 
     The relation is the frame-free ``rel`` of ``stmt`` conjoined once
     with ``gamma`` over the variables ``stmt`` does not write.  ``stmt``
-    must have the flips ``banks`` was allocated for; a ValueError
-    reports a mismatch.  A statement that reads or writes a variable
+    must have the flips ``banks`` was allocated for (its program's
+    ``Program.flips``); a ValueError reports a mismatch.  A statement that reads or writes a variable
     outside the banks raises UnknownVariable.
     """
     # ``rec`` visits a then branch before its else branch and a
     # sequence's atoms in order, so it meets the flips in textual order,
-    # the order of ``banks.flips``
+    # the order of ``Program.flips`` and so of ``banks.flips``
     flip_ids = iter(banks.flips)
 
     def rec(s: Stmt) -> tuple[Bdd, frozenset[str]]:

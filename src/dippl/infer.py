@@ -9,11 +9,15 @@ output-state cube,
     event probability       =  wmc(phi & <s> & event') / wmc(phi & <s>)
 
 where ``event'`` is the query expression compiled straight onto the
-output bank.  The weights and the universe are ``compiled.banks.weights``
-and ``compiled.banks.universe``.
+output bank.  The two ratios are one path: a transition query is an
+event query whose event is the target cube.  The weights and the
+universe are ``compiled.banks.weights`` and ``compiled.banks.universe``.
+Start and target states must bind each program variable exactly once,
+in any order (see ``State.in_order``).
 A zero denominator means the evidence rejected every execution path;
 that outcome is reported as the first-class ``INFEASIBLE`` value, never
-as an exception and never as probability zero.  Numerator and
+as an exception and never as probability zero, and the numerator's
+diagram is built only once the denominator is nonzero.  Numerator and
 denominator are always reported alongside the ratio.
 
 Each result's ``stats.query_ms`` is the wall clock of the whole query,
@@ -108,21 +112,13 @@ class InferenceResult:
         return self.value is INFEASIBLE
 
 
-def _check_domain(compiled: CompiledProgram, state: State):
-    """Raise ValueError unless ``state`` binds exactly the program's
-    variables."""
-    if set(state.vars) != set(compiled.program.vars):
-        raise ValueError("state domain differs from the program's variables")
-
-
 def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     """``phi & <s>``: the relation restricted to the input state
-    ``from_state`` (all-false when missing)."""
-    if from_state is None:
-        from_state = State.all_false(compiled.program.vars)
-    else:
-        _check_domain(compiled, from_state)
-    return compiled.phi & state_cube(from_state, compiled.banks.unprimed, compiled.store)
+    ``from_state`` (all-false when missing), which must bind each program
+    variable exactly once (ValueError otherwise)."""
+    vars = compiled.program.vars
+    state = State.all_false(vars) if from_state is None else from_state.in_order(vars)
+    return compiled.phi & state_cube(state, compiled.banks.unprimed, compiled.store)
 
 
 def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fraction:
@@ -133,17 +129,19 @@ def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fracti
     return compiled.store.wmc(bdd, banks.weights, banks.universe, extend_table=extend_table)
 
 
-def _ratio(
-    compiled: CompiledProgram, numerator_bdd: Bdd, denominator_bdd: Bdd, begin: float
+def _query(
+    compiled: CompiledProgram, from_state: Optional[State], event_bdd: Bdd, begin: float
 ) -> InferenceResult:
-    """The counts' ratio; ``query_ms`` runs from ``begin``, the
-    ``perf_counter`` reading at the query's entry."""
-    denominator = _count(compiled, denominator_bdd, extend_table=True)
+    """``wmc(phi & <s> & event_bdd) / wmc(phi & <s>)``, the numerator's
+    diagram built only once the denominator is nonzero; ``query_ms`` runs
+    from ``begin``, the ``perf_counter`` reading at the query's entry."""
+    conditioned = _conditioned(compiled, from_state)
+    denominator = _count(compiled, conditioned, extend_table=True)
     if denominator == 0:
         value: Value = INFEASIBLE
         numerator = Fraction(0)
     else:
-        numerator = _count(compiled, numerator_bdd, extend_table=False)
+        numerator = _count(compiled, conditioned & event_bdd, extend_table=False)
         value = numerator / denominator
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     return InferenceResult(value, numerator, denominator, InferenceStats(query_ms=elapsed_ms))
@@ -158,12 +156,11 @@ def transition_prob(
     compiled: CompiledProgram, from_state: Optional[State], to_state: State
 ) -> InferenceResult:
     """Conditional probability of ending in exactly ``to_state``, which
-    must bind every program variable (ValueError otherwise)."""
+    must bind each program variable exactly once (ValueError otherwise)."""
     begin = time.perf_counter()
-    _check_domain(compiled, to_state)
-    conditioned = _conditioned(compiled, from_state)
+    to_state = to_state.in_order(compiled.program.vars)
     target = state_cube(to_state, compiled.banks.primed, compiled.store)
-    return _ratio(compiled, conditioned & target, conditioned, begin)
+    return _query(compiled, from_state, target, begin)
 
 
 def event_prob(
@@ -172,8 +169,7 @@ def event_prob(
     """Conditional probability that ``event`` holds in the output state."""
     begin = time.perf_counter()
     event_bdd = compile_expr(event, compiled.banks.primed, compiled.store)
-    conditioned = _conditioned(compiled, from_state)
-    return _ratio(compiled, conditioned & event_bdd, conditioned, begin)
+    return _query(compiled, from_state, event_bdd, begin)
 
 
 def check_oracle_cap(program: Program):
@@ -219,14 +215,12 @@ def check_against_oracle(
         compiled_value = transition_prob(compiled, init, query.target).value
         dist = oracle.transition(program, init)
         # the oracle's states list the variables in program order
-        target = State.from_mapping(program.vars, query.target.as_dict())
+        target = query.target.in_order(program.vars)
         oracle_value = INFEASIBLE if dist.is_bottom else dist.prob(target)
     else:
         oracle_value = oracle.output_marginal(program, init, query.event)
         compiled_value = event_prob(compiled, init, query.event).value
 
-    if oracle_value is INFEASIBLE or compiled_value is INFEASIBLE:
-        equal = oracle_value is compiled_value
-    else:
-        equal = oracle_value == compiled_value
+    # INFEASIBLE equals only itself
+    equal = oracle_value == compiled_value
     return OracleCheck(equal, oracle_value, compiled_value, query)

@@ -61,30 +61,38 @@ class UnknownVariable(Exception):
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Base of the AST node classes: structural ``==``, ``hash`` and
-    ``repr``.
+    """Base of the AST node classes: a pre-order ``walk`` and structural
+    ``==``, ``hash`` and ``repr``.
 
-    ``==`` and ``hash`` compare the node type and every field; ``repr``
-    prints the dataclass form, e.g.
-    ``Not(inner=VarRef(name='y'))``.  All three walk the tree with an
-    explicit stack, since operator chains and sequences nest as deep as
-    they are long.
+    ``==`` and ``hash`` compare the node types and the other field
+    values in ``walk`` order; ``repr`` prints the dataclass form, e.g.
+    ``Not(inner=VarRef(name='y'))``.  All of them use an explicit stack,
+    since operator chains and sequences nest as deep as they are long.
     """
 
     _field_names: tuple[str, ...] = ()
+    # the fields that hold child nodes, last first, so that a stack pops
+    # the children in textual order
+    _child_fields: tuple[str, ...] = ()
+
+    def walk(self) -> Iterator["_Node"]:
+        """This node and every node below it, statements and expressions
+        alike, in textual (pre-order) order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for name in node._child_fields:
+                stack.append(getattr(node, name))
 
     def _tokens(self) -> Iterator:
         # each node's type, then its non-node field values; the types fix
         # every node's arity, so equal streams mean equal trees
-        stack = [self]
-        while stack:
-            node = stack.pop()
+        for node in self.walk():
             yield type(node)
             for name in node._field_names:
                 value = getattr(node, name)
-                if isinstance(value, _Node):
-                    stack.append(value)
-                else:
+                if not isinstance(value, _Node):
                     yield value
 
     def __eq__(self, other):
@@ -118,10 +126,14 @@ class _Node:
 
 
 def _node(cls):
-    """An immutable AST node class with ``_Node``'s ``==``, ``hash`` and
-    ``repr``."""
+    """An immutable AST node class with ``_Node``'s ``walk``, ``==``,
+    ``hash`` and ``repr``; its fields annotated ``Expr`` or ``Stmt`` hold
+    its children."""
     cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls._field_names = tuple(f.name for f in fields(cls))
+    cls._child_fields = tuple(
+        f.name for f in reversed(fields(cls)) if f.type in ("Expr", "Stmt")
+    )
     return cls
 
 
@@ -141,19 +153,19 @@ FALSE = Const(False)
 
 @_node
 class Not(_Node):
-    inner: "Expr"
+    inner: Expr
 
 
 @_node
 class And(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    lhs: Expr
+    rhs: Expr
 
 
 @_node
 class Or(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    lhs: Expr
+    rhs: Expr
 
 
 Expr = Union[VarRef, Const, Not, And, Or]
@@ -194,8 +206,8 @@ class Flip(_Node):
 @_node
 class If(_Node):
     cond: Expr
-    then_branch: "Stmt"
-    else_branch: "Stmt"
+    then_branch: Stmt
+    else_branch: Stmt
 
 
 @_node
@@ -205,45 +217,16 @@ class Observe(_Node):
 
 @_node
 class Seq(_Node):
-    first: "Stmt"
-    second: "Stmt"
+    first: Stmt
+    second: Stmt
 
 
 Stmt = Union[Skip, Assign, Flip, If, Observe, Seq]
 
 
 def expr_vars(e: Expr) -> Iterator[str]:
-    """Variable names in ``e``, in textual (left-to-right) order.
-
-    An explicit stack, since operator chains nest as deep as they are long.
-    """
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, VarRef):
-            yield node.name
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.rhs)
-            stack.append(node.lhs)
-
-
-def _walk_stmts(s: Stmt) -> Iterator[Stmt]:
-    """All statement nodes of ``s`` in textual order.
-
-    An explicit stack, since sequences nest as deep as they are long.
-    """
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Seq):
-            stack.append(node.second)
-            stack.append(node.first)
-        elif isinstance(node, If):
-            stack.append(node.else_branch)
-            stack.append(node.then_branch)
+    """Variable names in ``e``, in textual (left-to-right) order."""
+    return (node.name for node in e.walk() if type(node) is VarRef)
 
 
 def seq_atoms(s: Stmt) -> list[Stmt]:
@@ -267,45 +250,38 @@ def seq_atoms(s: Stmt) -> list[Stmt]:
     return atoms
 
 
-def flips_of(s: Stmt) -> list[Flip]:
-    """All Flip nodes of ``s`` in textual order."""
-    return [node for node in _walk_stmts(s) if isinstance(node, Flip)]
-
-
 @dataclass(frozen=True)
 class Program:
     """A statement plus derived bookkeeping.
 
     ``vars`` lists every program variable exactly once, in order of first
-    textual appearance; ``flip_count`` is the number of flip statements,
-    each occurrence of a reused ``Flip`` node counted.
+    textual appearance; ``flips`` lists the flip statements in textual
+    order, one entry per occurrence, so a reused ``Flip`` node appears
+    once for each of its draws.
     """
 
     body: Stmt
     vars: tuple[str, ...]
-    flip_count: int
+    flips: tuple[Flip, ...]
+
+    @property
+    def flip_count(self) -> int:
+        return len(self.flips)
 
     @classmethod
     def from_stmt(cls, body: Stmt) -> "Program":
         seen: dict[str, None] = {}
-
-        def note_expr(e: Expr):
-            for name in expr_vars(e):
-                seen.setdefault(name)
-
-        flip_count = 0
-        for node in _walk_stmts(body):
-            if isinstance(node, Assign):
+        flips: list[Flip] = []
+        for node in body.walk():
+            kind = type(node)
+            if kind is VarRef:
+                seen.setdefault(node.name)
+            elif kind is Assign:
                 seen.setdefault(node.target)
-                note_expr(node.rhs)
-            elif isinstance(node, Flip):
+            elif kind is Flip:
                 seen.setdefault(node.target)
-                flip_count += 1
-            elif isinstance(node, If):
-                note_expr(node.cond)
-            elif isinstance(node, Observe):
-                note_expr(node.cond)
-        return cls(body=body, vars=tuple(seen), flip_count=flip_count)
+                flips.append(node)
+        return cls(body=body, vars=tuple(seen), flips=tuple(flips))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,20 @@ class State:
         values = self._values[:pos] + (bool(value),) + self._values[pos + 1 :]
         return State(self._vars, values)
 
+    def in_order(self, vars: tuple[str, ...]) -> "State":
+        """This state with its variables in the order of ``vars`` (``self``
+        when they already are).
+
+        Raises ValueError unless the state binds each variable of
+        ``vars`` exactly once.
+        """
+        if self._vars == vars:
+            return self
+        if len(self._vars) != len(vars) or set(self._vars) != set(vars):
+            raise ValueError("state domain differs from the program's variables")
+        values = dict(zip(self._vars, self._values))
+        return State(vars, tuple(values[name] for name in vars))
+
     @classmethod
     def from_mapping(cls, vars: Iterable[str], mapping: Mapping[str, bool]) -> "State":
         vars = tuple(vars)
@@ -288,7 +302,7 @@ class _Evaluator:
         self._memo: dict[tuple[int, State], dict[State, Fraction]] = {}
         # whether an observation has rejected any mass; until one does,
         # every mass sums to exactly 1
-        self._rejected = False
+        self.rejected = False
 
     def _replace(self, state: State, pos: int, value: bool) -> State:
         values = state.values
@@ -306,18 +320,6 @@ class _Evaluator:
             return self.index[name]
         except KeyError:
             raise UnknownVariable(name) from None
-
-    def transition(self, stmt: Stmt, state: State) -> StateDistribution:
-        mass = self.mass(stmt, state)
-        if self._rejected:
-            total = sum(mass.values(), _ZERO)
-            if not total:
-                return _BOTTOM
-            mass = {s: m / total for s, m in mass.items()}
-        return StateDistribution(mass)
-
-    def accepting(self, stmt: Stmt, state: State) -> Fraction:
-        return sum(self.mass(stmt, state).values(), _ZERO)
 
     def mass(self, stmt: Stmt, state: State) -> dict[State, Fraction]:
         """Probability of ending in each output state with no observation
@@ -344,7 +346,7 @@ class _Evaluator:
                 s: m for s, m in mass.items() if _evaluate(atom.cond, s.values, self.index)
             }
             if len(kept) < len(mass):
-                self._rejected = True
+                self.rejected = True
             return kept
         out: dict[State, Fraction] = {}
         if isinstance(atom, Assign):
@@ -378,25 +380,30 @@ class _Evaluator:
 def _body_and_state(
     target: Union[Program, Stmt], state: State
 ) -> tuple[Stmt, State]:
+    """A program's body and ``state`` in the order of its variables
+    (see ``State.in_order``); a bare statement and ``state`` as they are."""
     if isinstance(target, Program):
-        if set(state.vars) != set(target.vars):
-            raise ValueError("state domain differs from the program's variables")
-        if state.vars != target.vars:
-            state = State(target.vars, tuple(state[name] for name in target.vars))
-        return target.body, state
+        return target.body, state.in_order(target.vars)
     return target, state
 
 
 def transition(stmt: Union[Program, Stmt], state: State) -> StateDistribution:
     """Exact output distribution of ``stmt`` from ``state`` (or bottom)."""
     body, state = _body_and_state(stmt, state)
-    return _Evaluator(state.vars).transition(body, state)
+    evaluator = _Evaluator(state.vars)
+    mass = evaluator.mass(body, state)
+    if evaluator.rejected:
+        total = sum(mass.values(), _ZERO)
+        if not total:
+            return _BOTTOM
+        mass = {s: m / total for s, m in mass.items()}
+    return StateDistribution(mass)
 
 
 def accepting(stmt: Union[Program, Stmt], state: State) -> Fraction:
     """Probability that no observation fails when running from ``state``."""
     body, state = _body_and_state(stmt, state)
-    return _Evaluator(state.vars).accepting(body, state)
+    return sum(_Evaluator(state.vars).mass(body, state).values(), _ZERO)
 
 
 def output_marginal(

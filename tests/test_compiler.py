@@ -26,8 +26,6 @@ from dippl.lang import (
     Skip,
     UnknownVariable,
     VarRef,
-    _walk_stmts,
-    flips_of,
     parse,
     parse_expr,
     unparse,
@@ -91,7 +89,7 @@ class TestVariableOrder:
         # the k-th flip in textual order is f{k}, weighted by its theta
         program = parse(FIG_CHAIN)
         store, banks = allocate_banks(program)
-        flips = flips_of(program.body)
+        flips = program.flips
         assert [flip.theta for flip in flips] == [
             Fraction(1, 2), Fraction(3, 5), Fraction(2, 5), Fraction(3, 5), Fraction(9, 10)
         ]
@@ -300,12 +298,12 @@ class TestFrameFreeCompilation:
         kinds = set()
         for _ in range(300):
             program = helpers.random_program(rng, max_vars=6, max_flips=8, depth=4)
-            for node in _walk_stmts(program.body):
+            for node in program.body.walk():
                 kinds.add(type(node).__name__)
                 if isinstance(node, If) and any(
                     isinstance(inner, If)
                     for branch in (node.then_branch, node.else_branch)
-                    for inner in _walk_stmts(branch)
+                    for inner in branch.walk()
                 ):
                     kinds.add("nested If")
             self.assert_matches_reference(program)

@@ -179,6 +179,52 @@ class TestQueryProperties:
             event_prob(c, State(("nope",), (True,)), parse_expr("z"))
 
 
+class TestStateContract:
+    # ``y := x`` has the variables ("y", "x"); this state lists x twice
+    DUPLICATED = State(("x", "x", "y"), (True, False, False))
+
+    def test_duplicated_start_rejected(self):
+        c = compiled("y := x")
+        with pytest.raises(ValueError, match="state domain differs"):
+            event_prob(c, self.DUPLICATED, parse_expr("y"))
+        with pytest.raises(ValueError, match="state domain differs"):
+            accept_prob(c, self.DUPLICATED)
+
+    def test_duplicated_target_rejected(self):
+        c = compiled("y := x")
+        with pytest.raises(ValueError, match="state domain differs"):
+            transition_prob(c, None, self.DUPLICATED)
+
+    @pytest.mark.parametrize("mode", ["marginal", "transition", "accepting"])
+    def test_duplicated_start_rejected_by_check(self, mode):
+        target = State.all_false(("y", "x")) if mode == "transition" else None
+        query = Query(mode=mode, init_state=self.DUPLICATED, target=target)
+        with pytest.raises(ValueError, match="state domain differs"):
+            check_against_oracle(parse("y := x"), query)
+
+
+class TestInfeasibleQuery:
+    SOURCE = "x ~ flip(0); y ~ flip(1/2); observe(x)"
+
+    def test_builds_no_numerator(self):
+        c = compiled(self.SOURCE)
+        target = state_for(c, x=True, y=True)
+        # the conditioned diagram and the target cube, built up front
+        assert accept_prob(c) == 0
+        state_cube(target, c.banks.primed, c.store)
+        before = len(c.store)
+        result = transition_prob(c, None, target)
+        assert result.value is INFEASIBLE
+        assert result.numerator == 0
+        assert len(c.store) == before
+
+    def test_event_prob_infeasible(self):
+        result = event_prob(compiled(self.SOURCE), None, parse_expr("x"))
+        assert result.value is INFEASIBLE
+        assert result.numerator == 0
+        assert result.denominator == 0
+
+
 class TestCheckAgainstOracle:
     def test_chain_marginal(self):
         outcome = check_against_oracle(

@@ -45,7 +45,7 @@ if y { y ~ flip(1/2) } else { y := false }
 class TestParse:
     def test_smallest_program(self):
         program = parse("skip")
-        assert program == Program(body=Skip(), vars=(), flip_count=0)
+        assert program == Program(body=Skip(), vars=(), flips=())
 
     def test_chain_program_shape(self):
         program = parse(FIG_CHAIN)
@@ -317,14 +317,14 @@ def test_long_chain_walks_in_fresh_interpreter():
     # default recursion limit
     code = (
         "from dippl.generators import gen_chain\n"
-        "from dippl.lang import flips_of, parse, unparse, validate\n"
+        "from dippl.lang import Flip, parse, unparse, validate\n"
         "program = parse(gen_chain(1200, 3))\n"
         "assert validate(program) == []\n"
-        "assert len(flips_of(program.body)) == program.flip_count\n"
+        "assert program.flips == tuple(n for n in program.body.walk() if type(n) is Flip)\n"
         "assert parse(unparse(program)) == program\n"
         "text = repr(program)\n"
         "assert text.startswith('Program(body=Seq(first=Flip(target=')\n"
-        "assert text.endswith(f'flip_count={program.flip_count})')\n"
+        "assert text.endswith(f'flips={program.flips!r})')\n"
     )
     result = helpers.run_fresh("-c", code)
     assert result.returncode == 0, result.stderr

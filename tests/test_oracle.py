@@ -75,6 +75,29 @@ class TestState:
     def test_all_states_count(self):
         assert len(list(all_states(("a", "b", "c")))) == 8
 
+    def test_in_order(self):
+        state = State(("x", "y"), (True, False))
+        assert state.in_order(("x", "y")) is state
+        swapped = state.in_order(("y", "x"))
+        assert swapped.vars == ("y", "x")
+        assert swapped.as_dict() == state.as_dict()
+        for vars in [("x",), ("x", "y", "z"), ("x", "z")]:
+            with pytest.raises(ValueError, match="state domain differs"):
+                state.in_order(vars)
+
+    def test_duplicated_variable_rejected(self):
+        # ``y := x`` has the variables ("y", "x"); this state lists x twice
+        program = parse("y := x")
+        duplicated = State(("x", "x", "y"), (True, False, False))
+        with pytest.raises(ValueError, match="state domain differs"):
+            transition(program, duplicated)
+        with pytest.raises(ValueError, match="state domain differs"):
+            accepting(program, duplicated)
+        with pytest.raises(ValueError, match="state domain differs"):
+            output_marginal(program, duplicated, parse_expr("y"))
+        with pytest.raises(ValueError, match="state domain differs"):
+            duplicated.in_order(program.vars)
+
 
 class TestStateDistribution:
     def test_bottom_is_empty(self):
