@@ -72,6 +72,7 @@ from .infer import (
     accept_prob,
     check_against_oracle,
     event_prob,
+    marginals,
     transition_prob,
 )
 from .generators import gen_chain, gen_grid, gen_ladder, grid_flip_count

@@ -13,7 +13,10 @@ conjoin-then-quantify (``and_exists``) are provided, plus ``wmc``: a
 single memoized bottom-up pass computing the weighted model count over
 an explicit variable universe.  A variable of the universe skipped
 along a path contributes its smoothing factor (weight-true +
-weight-false).
+weight-false).  ``wmc`` also counts a diagram conjoined with an event;
+when the event is a single literal and the diagram is already counted,
+one top-down pass over the diagram gives the count with every literal
+at once (the differential approach), and no conjunction is built.
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -24,11 +27,12 @@ A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
 The quantifier/renaming operations use per-call memo tables only.
 Weighted counting is owned by the store: the count layout of a weight
-function and universe (positions, scaled weights, prefix products) and
-the table of scaled node counts computed under them live in the
-operation cache, keyed by the two by value, so every caller that counts
-with equal weights over an equal universe shares one layout and one
-table, and ``clear_op_cache`` frees them with the rest of the cache.
+function and universe (positions, scaled weights, prefix products), the
+table of scaled node counts computed under them and the literal counts
+of each root the top-down pass has run on live in the operation cache,
+keyed by the two by value, so every caller that counts with equal
+weights over an equal universe shares one layout and its tables, and
+``clear_op_cache`` frees them with the rest of the cache.
 """
 
 from __future__ import annotations
@@ -138,10 +142,14 @@ class _CountLayout:
     ``scale`` the product of the scales.  ``prefix`` holds the prefix
     products of the nonzero smoothing factors and ``zeros`` a running
     count of zero factors, so any interval product is one division.
-    ``table`` maps nodes to the scaled counts computed so far.
+    ``table`` maps nodes to the scaled counts computed so far, and
+    ``literals`` maps counted roots to their literal counts (see
+    ``NodeStore._literal_counts``).
     """
 
-    __slots__ = ("position", "size", "wt", "wf", "prefix", "zeros", "scale", "table")
+    __slots__ = (
+        "position", "size", "wt", "wf", "prefix", "zeros", "scale", "table", "literals"
+    )
 
     def __init__(self, weights: WeightFn, universe: frozenset[int]):
         uni = sorted(universe)
@@ -168,6 +176,7 @@ class _CountLayout:
                 self.prefix.append(self.prefix[-1] * factor)
                 self.zeros.append(self.zeros[-1])
         self.table: dict[int, int] = {0: 0, 1: 1}
+        self.literals: dict[int, list[int]] = {}
 
 
 class Bdd:
@@ -613,9 +622,11 @@ class NodeStore:
         weights: WeightFn,
         universe: Iterable[int],
         *,
+        event: Optional[Bdd] = None,
         extend_table: bool = False,
     ) -> Fraction:
-        """Weighted model count of ``a`` over total assignments to ``universe``.
+        """Weighted model count of ``a`` (of ``a & event`` when ``event`` is
+        given) over total assignments to ``universe``.
 
         Sums, over assignments satisfying ``a``, the product of the weight
         of every literal in the assignment.  One bottom-up pass; universe
@@ -633,9 +644,22 @@ class NodeStore:
         counts per weight function and universe (compared by value), built
         at their first count.  Every pass reads the table; it writes the
         nodes it counts into it only when ``extend_table`` is set.
+
+        When ``event`` is a single literal (a node on two terminals) of a
+        universe variable, ``a``'s nodes are in the table and no smoothing
+        factor is 0, the count is read from ``a``'s literal counts: one
+        downward pass gives them for every universe variable at once, and
+        the layout keeps them (see ``_literal_counts``).  Any other event
+        is conjoined with ``a`` and the conjunction counted.
         """
         root = self._own(a)
         layout = self._count_layout(weights, universe)
+        if event is not None:
+            e = self._own(event)
+            count = self._literal_count(root, e, layout)
+            if count is not None:
+                return Fraction(count, layout.scale)
+            root = self._apply(_OP_AND, root, e)
         position, size = layout.position, layout.size
         wt, wf, prefix, zeros = layout.wt, layout.wf, layout.prefix, layout.zeros
         table = layout.table
@@ -671,6 +695,83 @@ class NodeStore:
                 f"support variables {sorted(missing)} not in the universe"
             ) from None
         return Fraction(count, layout.scale)
+
+    def _literal_count(self, root: int, e: int, layout: _CountLayout) -> Optional[int]:
+        """Scaled count of ``root & e`` from ``root``'s literal counts, or
+        None when ``e`` is not a literal of a universe variable, a
+        smoothing factor is 0 or ``root`` is not in the count table."""
+        if e <= 1 or self._lo[e] > 1 or self._hi[e] > 1:
+            return None
+        k = layout.position.get(self._var[e])
+        if k is None or layout.zeros[-1] or root not in layout.table:
+            return None
+        counts = layout.literals.get(root)
+        if counts is None:
+            counts = layout.literals[root] = self._literal_counts(root, layout)
+        return counts[k] if self._hi[e] else counts[-1] - counts[k]
+
+    def _literal_counts(self, root: int, layout: _CountLayout) -> list[int]:
+        """Scaled ``wmc(root & v)`` for the universe variable ``v`` at each
+        position, then the scaled count of ``root`` itself.
+
+        One top-down pass over ``root``'s nodes (Darwiche's differential
+        pass), which must all be in the count table and under nonzero
+        smoothing factors.  A node's outside weight sums, over the paths
+        from the root to it, the weights along the path; each child gets
+        the node's outside weight times the edge's weight and span.  The
+        node's variable is credited with the mass of its high edge
+        (outside weight times the child's count), and the variables an
+        edge skips with the edge's mass, through a difference array: a
+        skipped position ``k`` gets ``mass * wt[k] // (wt[k] + wf[k])``,
+        exact because every mass that skips ``k`` carries its factor.
+        """
+        position, size = layout.position, layout.size
+        wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        counts = [0] * (size + 1)
+        # masses of the edges that skip each position, as differences
+        skipped = [0] * (size + 1)
+        top = size if root <= 1 else position[var_of[root]]
+        total = prefix[top] * table[root]
+        skipped[0] = total
+        skipped[top] -= total
+        outside = {root: prefix[top]}
+        nodes = sorted(self._nodes(root), key=var_of.__getitem__)
+        for u in nodes:
+            weight = outside.pop(u)
+            j = position[var_of[u]]
+            nxt = j + 1
+            hi, lo = hi_of[u], lo_of[u]
+            if hi:
+                push = weight * wt[j]
+                jc = size if hi == 1 else position[var_of[hi]]
+                if jc == nxt:
+                    counts[j] += push * table[hi]
+                else:
+                    push *= prefix[jc] // prefix[nxt]
+                    mass = push * table[hi]
+                    counts[j] += mass
+                    skipped[nxt] += mass
+                    skipped[jc] -= mass
+                if hi > 1:
+                    outside[hi] = outside.get(hi, 0) + push
+            if lo:
+                push = weight * wf[j]
+                jc = size if lo == 1 else position[var_of[lo]]
+                if jc != nxt:
+                    push *= prefix[jc] // prefix[nxt]
+                    mass = push * table[lo]
+                    skipped[nxt] += mass
+                    skipped[jc] -= mass
+                if lo > 1:
+                    outside[lo] = outside.get(lo, 0) + push
+        running = 0
+        for k in range(size):
+            running += skipped[k]
+            if running:
+                counts[k] += running * wt[k] // (wt[k] + wf[k])
+        counts[size] = total
+        return counts
 
     def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:
         """The layout and count table of ``(weights, universe)``: kept in

@@ -9,20 +9,22 @@ output-state cube,
     event probability       =  wmc(phi & <s> & event') / wmc(phi & <s>)
 
 where ``event'`` is the query expression compiled straight onto the
-output bank.  The two ratios are one path: a transition query is an
-event query whose event is the target cube.  The weights and the
-universe are ``compiled.banks.weights`` and ``compiled.banks.universe``.
+output bank.  The ratios are one path: a transition query is an event
+query whose event is the target cube, and ``marginals`` asks every
+variable's literal as an event from one conditioning and one
+denominator.  The weights and the universe are
+``compiled.banks.weights`` and ``compiled.banks.universe``.
 Start and target states must bind each program variable exactly once,
 in any order (see ``State.in_order``).
 A zero denominator means the evidence rejected every execution path;
 that outcome is reported as the first-class ``INFEASIBLE`` value, never
-as an exception and never as probability zero, and the numerator's
-diagram is built only once the denominator is nonzero.  Numerator and
-denominator are always reported alongside the ratio.
+as an exception and never as probability zero, and no numerator is
+counted.  Numerator and denominator are always reported alongside the
+ratio.
 
 Each result's ``stats.query_ms`` is the wall clock of the whole query,
-from entry to answer: conditioning, building the numerator and both
-counts.
+from entry to answer: conditioning and both counts (for ``marginals``,
+the whole call).
 
 Answers are exact ``Fraction``s.  ``NodeStore.wmc`` counts on Python
 ints scaled by a product ``S`` of the weights' denominators and divides
@@ -34,13 +36,19 @@ universe, and the store keeps one table of node counts per weights and
 universe (see ``NodeStore.wmc``), so the queries on one program share
 it; it lives in the program's store and is freed with it.  Passes over a
 conditioned diagram ``phi & <s>`` (denominators and ``accept_prob``)
-add their nodes to it; numerator passes only read it.  Below its
-event's variables a numerator diagram is ``phi & <s>`` itself, so once
-the denominator is known a numerator counts only the nodes above its
-event, and a repeated denominator costs one lookup.  Keeping numerator
-nodes out bounds the table by the conditioned diagrams.  The table, like
-the rest of the store, makes a compiled program stateful: queries on
-one ``CompiledProgram`` must not run concurrently.
+add their nodes to it, and a repeated denominator costs one lookup.
+A numerator is one ``wmc`` call on ``phi & <s>`` with the event beside
+it, and builds no diagram when the event is a single literal (a
+variable or its negation): once the denominator has counted
+``phi & <s>``, one downward pass over it gives the count of every
+literal at once, and the store keeps these literal counts beside the
+table, so every later literal marginal from the same start state is a
+lookup.  Any other event is conjoined with ``phi & <s>`` and the
+conjunction counted; below the event's variables it is ``phi & <s>``
+itself, so only the nodes above the event are counted, and they stay
+out of the table, which the conditioned diagrams bound.  The tables,
+like the rest of the store, make a compiled program stateful: queries
+on one ``CompiledProgram`` must not run concurrently.
 
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
@@ -121,35 +129,39 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     return compiled.phi & state_cube(state, compiled.banks.unprimed, compiled.store)
 
 
-def _count(compiled: CompiledProgram, bdd: Bdd, *, extend_table: bool) -> Fraction:
-    """WMC of ``bdd`` through the store's table for the program's weights
-    and universe; only passes over conditioned diagrams (``phi & <s>``)
-    extend it."""
+def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:
+    """WMC of ``conditioned`` (``phi & <s>``), or of ``conditioned & event``,
+    through the store's tables for the program's weights and universe:
+    only a pass over ``conditioned`` itself extends the count table."""
     banks = compiled.banks
-    return compiled.store.wmc(bdd, banks.weights, banks.universe, extend_table=extend_table)
+    return compiled.store.wmc(
+        conditioned, banks.weights, banks.universe, event=event, extend_table=event is None
+    )
 
 
 def _query(
-    compiled: CompiledProgram, from_state: Optional[State], event_bdd: Bdd, begin: float
-) -> InferenceResult:
-    """``wmc(phi & <s> & event_bdd) / wmc(phi & <s>)``, the numerator's
-    diagram built only once the denominator is nonzero; ``query_ms`` runs
-    from ``begin``, the ``perf_counter`` reading at the query's entry."""
+    compiled: CompiledProgram, from_state: Optional[State], events: list[Bdd], begin: float
+) -> list[InferenceResult]:
+    """``wmc(phi & <s> & e) / wmc(phi & <s>)`` for each event ``e``, from
+    one conditioning and one denominator; no numerator is counted when
+    the denominator is 0.  ``query_ms`` runs from ``begin``, the
+    ``perf_counter`` reading at the query's entry, to the last answer."""
     conditioned = _conditioned(compiled, from_state)
-    denominator = _count(compiled, conditioned, extend_table=True)
+    denominator = _count(compiled, conditioned)
     if denominator == 0:
-        value: Value = INFEASIBLE
-        numerator = Fraction(0)
+        answers = [(INFEASIBLE, Fraction(0))] * len(events)
     else:
-        numerator = _count(compiled, conditioned & event_bdd, extend_table=False)
-        value = numerator / denominator
-    elapsed_ms = (time.perf_counter() - begin) * 1000.0
-    return InferenceResult(value, numerator, denominator, InferenceStats(query_ms=elapsed_ms))
+        answers = []
+        for event_bdd in events:
+            numerator = _count(compiled, conditioned, event_bdd)
+            answers.append((numerator / denominator, numerator))
+    stats = InferenceStats(query_ms=(time.perf_counter() - begin) * 1000.0)
+    return [InferenceResult(value, numerator, denominator, stats) for value, numerator in answers]
 
 
 def accept_prob(compiled: CompiledProgram, from_state: Optional[State] = None) -> Fraction:
     """Probability that no observation fails when run from ``from_state``."""
-    return _count(compiled, _conditioned(compiled, from_state), extend_table=True)
+    return _count(compiled, _conditioned(compiled, from_state))
 
 
 def transition_prob(
@@ -160,7 +172,7 @@ def transition_prob(
     begin = time.perf_counter()
     to_state = to_state.in_order(compiled.program.vars)
     target = state_cube(to_state, compiled.banks.primed, compiled.store)
-    return _query(compiled, from_state, target, begin)
+    return _query(compiled, from_state, [target], begin)[0]
 
 
 def event_prob(
@@ -169,7 +181,26 @@ def event_prob(
     """Conditional probability that ``event`` holds in the output state."""
     begin = time.perf_counter()
     event_bdd = compile_expr(event, compiled.banks.primed, compiled.store)
-    return _query(compiled, from_state, event_bdd, begin)
+    return _query(compiled, from_state, [event_bdd], begin)[0]
+
+
+def marginals(
+    compiled: CompiledProgram, from_state: Optional[State] = None
+) -> dict[str, InferenceResult]:
+    """Conditional probability that each program variable is true in the
+    output state, by name.
+
+    One conditioning and one denominator serve every variable, and each
+    numerator is read from the literal counts of ``phi & <s>``, which one
+    downward pass builds (see ``NodeStore.wmc``).  Every entry is
+    ``INFEASIBLE`` when the denominator is 0.  Each result's ``query_ms``
+    is the wall clock of the whole call.
+    """
+    begin = time.perf_counter()
+    store, primed = compiled.store, compiled.banks.primed
+    names = compiled.program.vars
+    events = [store.var(primed[name]) for name in names]
+    return dict(zip(names, _query(compiled, from_state, events, begin)))
 
 
 def check_oracle_cap(program: Program):

@@ -381,9 +381,17 @@ def _body_and_state(
     target: Union[Program, Stmt], state: State
 ) -> tuple[Stmt, State]:
     """A program's body and ``state`` in the order of its variables
-    (see ``State.in_order``); a bare statement and ``state`` as they are."""
+    (see ``State.in_order``); a bare statement and ``state`` as they are.
+
+    Raises ValueError when ``state`` lists a variable twice.  A bare
+    statement has no variable list to check ``state`` against, so this
+    is checked here, once per call, and not in ``State``, which the
+    interpreter builds in its inner loop.
+    """
     if isinstance(target, Program):
         return target.body, state.in_order(target.vars)
+    if len(set(state.vars)) != len(state.vars):
+        raise ValueError(f"state lists a variable twice: {state.vars}")
     return target, state
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from dippl.bdd import (
+    Bdd,
     ManagerMismatch,
     NodeStore,
     OrderViolation,
@@ -500,6 +501,111 @@ class TestWmc:
         b = store.apply("iff", store.var(2), store.var(3))
         prod = store.wmc(store.apply("and", a, b), weights, range(4))
         assert prod == store.wmc(a, weights, {0, 1}) * store.wmc(b, weights, {2, 3})
+
+
+class TestLiteralCounts:
+    """``wmc(a, w, U, event=lit)`` for a single literal ``lit`` equals
+    ``wmc(a & lit, w, U)`` on an uncached store and by brute force, whether
+    the count comes from ``a``'s literal counts or from the conjunction."""
+
+    POOL = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(5, 2)]
+
+    @staticmethod
+    def literal(store, var, positive):
+        return store.var(var) if positive else store.not_(store.var(var))
+
+    def check(self, store, plain, a, b, weights, universe, *, from_table):
+        """Both literals of each universe variable: ``a`` on ``store`` and
+        the same function ``b`` on the uncached ``plain``.  From the table,
+        a count builds no node and leaves ``a``'s literal counts behind."""
+        for var in universe:
+            for positive in (True, False):
+                plain_lit = self.literal(plain, var, positive)
+                expected = plain.wmc(b & plain_lit, weights, universe)
+                assert plain.wmc(b, weights, universe, event=plain_lit) == expected
+                lit = self.literal(store, var, positive)
+                before = len(store)
+                got = store.wmc(a, weights, universe, event=lit)
+                assert type(got) is Fraction
+                if from_table:
+                    assert len(store) == before
+                assert got == expected == helpers.brute_force_wmc(a & lit, weights, universe)
+        assert (a.idx in self.literals(store, weights, universe)) == from_table
+
+    @staticmethod
+    def literals(store, weights, universe):
+        return store._count_layout(weights, universe).literals
+
+    @staticmethod
+    def skips(store, a, var):
+        """Some edge of ``a`` that carries mass passes over ``var``'s level."""
+        if a.is_terminal or a.var > var:
+            return not a.is_false
+        nodes = [Bdd(store, u) for u in store._nodes(a.idx)]
+        return any(
+            not child.is_false and node.var < var and (child.is_terminal or child.var > var)
+            for node in nodes
+            for child in (node.low, node.high)
+        )
+
+    def test_random_diagrams_every_literal(self):
+        rng = random.Random(83)
+        seen = {"outside support": 0, "skipped level": 0, "zero count": 0}
+        for _ in range(40):
+            store, plain = fresh_store(7), fresh_store(7, op_cache=False)
+            universe = sorted(rng.sample(range(7), rng.randint(3, 7)))
+            weights = WeightFn(
+                {v: (rng.choice(self.POOL), rng.choice(self.POOL[1:])) for v in universe}
+            )
+            support = rng.sample(universe, rng.randint(1, len(universe)))
+            seed = rng.random()
+            a = helpers.random_bdd(random.Random(seed), store, support)
+            b = helpers.random_bdd(random.Random(seed), plain, support)
+            store.wmc(a, weights, universe, extend_table=True)
+            self.check(store, plain, a, b, weights, universe, from_table=True)
+            for var in universe:
+                seen["outside support"] += var not in store.support(a)
+                seen["skipped level"] += var in store.support(a) and self.skips(store, a, var)
+            seen["zero count"] += store.wmc(a, weights, universe) == 0
+        assert all(seen.values()), seen
+
+    def test_edges_skipping_the_literal_level(self):
+        # v0 -> v3 and v0 -> T skip v1 and v2, which a does not test
+        store, plain = fresh_store(5), fresh_store(5, op_cache=False)
+        weights = WeightFn({v: (Fraction(v + 1, 7), Fraction(2, v + 3)) for v in range(5)})
+        a = store.var(0) | store.var(3)
+        b = plain.var(0) | plain.var(3)
+        store.wmc(a, weights, range(5), extend_table=True)
+        self.check(store, plain, a, b, weights, range(5), from_table=True)
+        assert self.skips(store, a, 1) and self.skips(store, a, 2)
+
+    def test_terminal_roots(self):
+        store, plain = fresh_store(4), fresh_store(4, op_cache=False)
+        weights = WeightFn({0: (Fraction(1, 3), Fraction(1, 2)), 2: (3, 0)})
+        for value in (True, False):
+            a, b = store.constant(value), plain.constant(value)
+            self.check(store, plain, a, b, weights, range(4), from_table=True)
+
+    def test_zero_factor_level_takes_the_conjunction(self):
+        store, plain = fresh_store(4), fresh_store(4, op_cache=False)
+        weights = WeightFn({1: (0, 0), 2: (Fraction(1, 4), Fraction(3, 4))})
+        for build in (lambda s: s.var(0) & s.var(2), lambda s: s.var(1) | s.var(3)):
+            a, b = build(store), build(plain)
+            store.wmc(a, weights, range(4), extend_table=True)
+            self.check(store, plain, a, b, weights, range(4), from_table=False)
+
+    def test_uncounted_root_takes_the_conjunction(self):
+        store, plain = fresh_store(5), fresh_store(5, op_cache=False)
+        weights = WeightFn({v: (Fraction(1, v + 2), 1) for v in range(5)})
+        a, b = ((s.var(0) ^ s.var(2)) | (s.var(1) & s.var(4)) for s in (store, plain))
+        self.check(store, plain, a, b, weights, range(5), from_table=False)
+
+    def test_literal_outside_the_universe(self):
+        store = fresh_store(3)
+        a = store.var(0) | store.var(1)
+        store.wmc(a, WeightFn(), {0, 1}, extend_table=True)
+        with pytest.raises(SupportOutsideUniverse, match=r"\[2\]"):
+            store.wmc(a, WeightFn(), {0, 1}, event=store.var(2))
 
 
 class TestWeightFn:

@@ -6,7 +6,8 @@ import pytest
 
 import helpers
 from dippl import infer, oracle
-from dippl.compiler import compile_program, state_cube
+from dippl.bdd import NodeStore
+from dippl.compiler import compile_expr, compile_program, state_cube
 from dippl.generators import gen_chain, gen_grid, grid_var
 from dippl.infer import (
     OracleTooLarge,
@@ -373,3 +374,86 @@ class TestSharedCountTable:
         table = c.store._count_layout(c.banks.weights, c.banks.universe).table
         # the conditioned diagram's nodes and the two terminals, no more
         assert len(table) == c.store.node_count(conditioned) + 2
+
+
+class TestMarginals:
+    """``marginals`` answers every variable from one conditioning, one
+    denominator and one table of literal counts."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            gen_chain(60, seed=5),
+            *(gen_grid(k, d, seed=k) for k in (4, 5) for d in ("0", "0.5", "0.9")),
+        ],
+        ids=["chain60", *(f"grid{k}-{d}" for k in (4, 5) for d in ("0", "0.5", "0.9"))],
+    )
+    def test_matches_event_prob(self, source):
+        c = compile_program(parse(source))
+        rng = random.Random(len(source))
+        init = State(c.program.vars, tuple(rng.random() < 0.5 for _ in c.program.vars))
+        for start in (None, init):
+            results = infer.marginals(c, start)
+            assert list(results) == list(c.program.vars)
+            fresh = compile_program(c.program)
+            store, banks = fresh.store, fresh.banks
+            conditioned = infer._conditioned(fresh, start)
+            for name, result in results.items():
+                single = event_prob(fresh, start, parse_expr(name))
+                assert (result.value, result.numerator, result.denominator) == (
+                    single.value,
+                    single.numerator,
+                    single.denominator,
+                )
+                # the count of the conjunction, which no marginal builds
+                event = conditioned & store.var(banks.primed[name])
+                assert result.numerator == store.wmc(event, banks.weights, banks.universe)
+
+    def test_matches_oracle_with_observe(self):
+        rng = random.Random(97)
+        seen = {"observe": 0, "infeasible": 0, "feasible": 0}
+        for _ in range(120):
+            program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3, observe_p=0.3)
+            c = compile_program(program)
+            seen["observe"] += "observe(" in unparse(program)
+            for _ in range(2):
+                init = State(program.vars, tuple(rng.random() < 0.5 for _ in program.vars))
+                results = infer.marginals(c, init)
+                assert list(results) == list(program.vars)
+                if oracle.transition(program, init).is_bottom:
+                    seen["infeasible"] += 1
+                    for result in results.values():
+                        assert result.value is INFEASIBLE
+                        assert result.numerator == 0 and result.denominator == 0
+                    continue
+                seen["feasible"] += 1
+                for name, result in results.items():
+                    expected = oracle.output_marginal(program, init, parse_expr(name))
+                    assert result.value == expected
+                    assert result.value == result.numerator / result.denominator
+        assert all(seen.values()), seen
+
+    def test_second_literal_marginal_builds_nothing(self, monkeypatch):
+        passes = []
+        literal_counts = NodeStore._literal_counts
+
+        def counted(store, root, layout):
+            passes.append(root)
+            return literal_counts(store, root, layout)
+
+        monkeypatch.setattr(NodeStore, "_literal_counts", counted)
+        c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
+        init = state_for(c, g0_0=True)
+        first = event_prob(c, init, parse_expr("g3_3"))
+        # the literals the later queries ask for, built up front
+        for name in ("g2_1", "g1_2"):
+            compile_expr(parse_expr(f"!{name}"), c.banks.primed, c.store)
+        before = len(c.store)
+        second = event_prob(c, init, parse_expr("g2_1"))
+        negated = event_prob(c, init, parse_expr("!g1_2"))
+        assert len(c.store) == before
+        assert len(passes) == 1
+        assert second.denominator == negated.denominator == first.denominator
+        fresh = compile_program(c.program)
+        assert second.value == event_prob(fresh, init, parse_expr("g2_1")).value
+        assert negated.value == event_prob(fresh, init, parse_expr("!g1_2")).value

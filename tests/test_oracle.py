@@ -98,6 +98,18 @@ class TestState:
         with pytest.raises(ValueError, match="state domain differs"):
             duplicated.in_order(program.vars)
 
+    def test_duplicated_variable_rejected_for_bare_statement(self):
+        # a bare statement carries no variable list, so the state's own
+        # list is checked: State["x"] reads True here, but the
+        # interpreter read x as False and accepted with probability 0
+        body = parse("observe(x)").body
+        duplicated = State(("x", "x"), (True, False))
+        with pytest.raises(ValueError, match="lists a variable twice"):
+            accepting(body, duplicated)
+        with pytest.raises(ValueError, match="lists a variable twice"):
+            transition(body, duplicated)
+        assert accepting(body, State(("x",), (True,))) == 1
+
 
 class TestStateDistribution:
     def test_bottom_is_empty(self):
