@@ -8,15 +8,17 @@ equal.
 
 Boolean combinators (``apply``, ``not_``), existential quantification,
 renaming (each node it builds is checked against its children, so a
-renaming that would break the order raises where it does), and a fused
-conjoin-then-quantify (``and_exists``) are provided, plus ``wmc``: a
-single memoized bottom-up pass computing the weighted model count over
-an explicit variable universe.  A variable of the universe skipped
-along a path contributes its smoothing factor (weight-true +
-weight-false).  ``wmc`` also counts a diagram conjoined with an event;
-when the event is a single literal and the diagram is already counted,
-one top-down pass over the diagram gives the count with every literal
-at once (the differential approach), and no conjunction is built.
+renaming that would break the order raises where it does), a fused
+conjoin-then-quantify (``and_exists``) and restriction (``restrict``:
+the cofactor on an assignment, one walk that builds no cube) are
+provided, plus ``wmc``: a single memoized bottom-up pass computing the
+weighted model count over an explicit variable universe.  A variable of
+the universe skipped along a path contributes its smoothing factor
+(weight-true + weight-false).  ``wmc`` also counts a diagram conjoined
+with an event; when the event is a single literal and the diagram is
+already counted, one top-down pass over the diagram gives the count
+with every literal at once (the differential approach), and no
+conjunction is built.
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -25,7 +27,9 @@ arithmetic; the product of the scales is divided out once, at the end.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
-The quantifier/renaming operations use per-call memo tables only.
+The quantifier/renaming/restriction walks use per-call memo tables;
+``restrict`` keeps its result in the operation cache, keyed by the root
+and the assignment by value, so a repeated restriction is one lookup.
 Weighted counting is owned by the store: the count layout of a weight
 function and universe (positions, scaled weights, prefix products), the
 table of scaled node counts computed under them and the literal counts
@@ -40,9 +44,11 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-_OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE, _OP_WMC = range(8)
+(
+    _OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE, _OP_WMC, _OP_RESTRICT
+) = range(9)
 
 _OP_CODES = {
     "and": _OP_AND,
@@ -97,6 +103,17 @@ class WeightFn:
             store[var] = (self._coerce(wt), self._coerce(wf))
         self._entries = store
         self._hash = hash(frozenset(store))
+
+    @classmethod
+    def _trusted(cls, entries: dict[int, tuple[Fraction, Fraction]]) -> "WeightFn":
+        """A weight function that takes ``entries`` as given: pairs of
+        nonnegative ``Fraction``s already validated by the caller (the
+        compiler's flips, whose thetas ``Flip`` checked), so no weight is
+        coerced or checked again."""
+        fn = cls.__new__(cls)
+        fn._entries = entries
+        fn._hash = hash(frozenset(entries))
+        return fn
 
     @staticmethod
     def _coerce(w: Weight) -> Fraction:
@@ -602,6 +619,54 @@ class NodeStore:
             return result
 
         return self._wrap(rec(root))
+
+    def restrict(self, a: Bdd, vars: Sequence[int], values: Sequence[bool]) -> Bdd:
+        """The cofactor of ``a`` with each ``vars[i]`` fixed to ``values[i]``
+        (Bryant's restriction): a function of the other variables only.
+
+        One structural pass with a per-call memo: a node on a fixed
+        variable is replaced by its restricted high or low child, every
+        other node rebuilt on its restricted children, and no cube is
+        built.  The result is kept in the op cache under ``a``, ``vars``
+        and ``values`` (by value), so repeating a call is one lookup.
+        A variable listed twice raises ValueError.
+        """
+        root = self._own(a)
+        vars, values = tuple(vars), tuple(values)
+        key = (_OP_RESTRICT, root, vars, values)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return self._wrap(hit)
+        for var in vars:
+            self._check_var(var)
+        assignment = dict(zip(vars, values))
+        if len(vars) != len(values) or len(assignment) != len(vars):
+            raise ValueError("restrict needs one value per variable, each variable once")
+        result = self._restrict(root, assignment) if assignment else root
+        self._cache[key] = result
+        return self._wrap(result)
+
+    def _restrict(self, root: int, assignment: dict[int, bool]) -> int:
+        """The walk behind ``restrict``; ``assignment`` is nonempty."""
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        max_var = max(assignment)
+        memo: dict[int, int] = {}
+
+        def rec(u: int) -> int:
+            if u <= 1 or var_of[u] > max_var:
+                return u
+            hit = memo.get(u)
+            if hit is not None:
+                return hit
+            value = assignment.get(var_of[u])
+            if value is None:
+                result = self._mk(var_of[u], rec(lo_of[u]), rec(hi_of[u]))
+            else:
+                result = rec(hi_of[u] if value else lo_of[u])
+            memo[u] = result
+            return result
+
+        return rec(root)
 
     # -- queries ----------------------------------------------------------------
 

@@ -2,11 +2,16 @@
 
 Subcommands::
 
-    dippl infer <file> --query <expr> [--init x=true,y=false] [--json] [--float]
+    dippl infer <file> (--query <expr> | --all-marginals) [--init x=true,y=false]
+                [--json] [--float]
     dippl oracle <file> --query <expr> [--init ...] [--check] [--json]
     dippl compile <file> [--dot out.dot] [--stats out.json]
     dippl bench --family chain|grid|ladder --sizes a..b[:step] [--det d,...]
                 --seed n --out file.csv
+
+``infer --all-marginals`` reports the marginal of every program variable
+in the output state, from one conditioning on the initial state, under
+``marginals`` (by variable, in program order).
 
 Exit codes: 0 success, 1 malformed input or bad usage, 2 infeasible
 evidence (every execution path rejected), 3 internal errors (including
@@ -30,7 +35,7 @@ from typing import Optional
 
 from . import generators
 from .compiler import compile_program
-from .infer import OracleTooLarge, check_oracle_cap, event_prob
+from .infer import InferenceResult, OracleTooLarge, check_oracle_cap, event_prob, marginals
 from .lang import ParseError, Program, UnknownVariable, parse, parse_expr
 from .oracle import INFEASIBLE, State, output_marginal
 
@@ -98,36 +103,57 @@ def _value_fields(value, floats: bool) -> dict:
     }
 
 
+def _result_fields(result: InferenceResult, floats: bool) -> dict:
+    numerator, denominator = result.numerator, result.denominator
+    if floats:  # formatting only: the answer is exact either way
+        numerator, denominator = float(numerator), float(denominator)
+    return {
+        **_value_fields(result.value, floats),
+        "numerator": str(numerator),
+        "denominator": str(denominator),
+    }
+
+
 def _emit(report: dict, as_json: bool):
     if as_json:
         print(json.dumps(report, indent=2))
         return
     for key, val in report.items():
-        print(f"{key}: {val}")
+        if isinstance(val, dict):  # one line per entry, its fields as k=v
+            print(f"{key}:")
+            for name, fields in val.items():
+                print(f"  {name}: " + " ".join(f"{k}={v}" for k, v in fields.items()))
+        else:
+            print(f"{key}: {val}")
 
 
 def cmd_infer(args) -> int:
     program = _read_program(args.file)
-    query = parse_expr(args.query)
+    query = None if args.all_marginals else parse_expr(args.query)
     init = _parse_init(args.init, program)
     compiled = compile_program(program)
-    result = event_prob(compiled, init, query)
-    numerator, denominator = result.numerator, result.denominator
-    if args.float:  # formatting only: the answer is exact either way
-        numerator, denominator = float(numerator), float(denominator)
+    if query is None:
+        results = marginals(compiled, init)
+        answer = {
+            "marginals": {
+                name: _result_fields(result, args.float) for name, result in results.items()
+            }
+        }
+    else:
+        results = {args.query: event_prob(compiled, init, query)}
+        answer = {"query": args.query, **_result_fields(results[args.query], args.float)}
     report = {
         "program": args.file,
-        "query": args.query,
-        **_value_fields(result.value, args.float),
-        "numerator": str(numerator),
-        "denominator": str(denominator),
+        **answer,
         "node_count": compiled.stats.node_count,
         "compile_ms": round(compiled.stats.compile_ms, 3),
-        "query_ms": round(result.stats.query_ms, 3),
+        # every result of one call carries the same query_ms
+        "query_ms": round(max((r.stats.query_ms for r in results.values()), default=0.0), 3),
         "mode": "float" if args.float else "rational",
     }
     _emit(report, args.json)
-    return EXIT_INFEASIBLE if result.infeasible else EXIT_OK
+    infeasible = any(result.infeasible for result in results.values())
+    return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
@@ -267,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     infer = sub.add_parser("infer", help="compile a program and answer a query")
     infer.add_argument("file")
-    infer.add_argument("--query", required=True, help="Boolean expression over program variables")
+    asked = infer.add_mutually_exclusive_group(required=True)
+    asked.add_argument("--query", help="Boolean expression over program variables")
+    asked.add_argument(
+        "--all-marginals", action="store_true", help="the marginal of every program variable"
+    )
     infer.add_argument("--init", help="initial state overrides, e.g. x=true,y=false")
     infer.add_argument("--json", action="store_true")
     infer.add_argument("--float", action="store_true", help="print the exact answer as floats")

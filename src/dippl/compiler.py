@@ -3,13 +3,14 @@
 A statement compiles to a BDD ``phi`` over three banks of variables --
 unprimed (input state), primed (output state), and per-flip sample
 variables.  ``phi`` relates input to output states; probability queries
-against it are ratios of weighted model counts (see ``dippl.infer``).
-The weights are fixed by the program's flips, as the variables are, so
-``allocate_banks`` builds them once beside the WMC universe:
-``VarBanks.weights`` maps each flip variable to ``(theta, 1 - theta)``
-and every state variable to ``(1, 1)``.  An expression compiles onto
-whichever bank it is given: the input bank for conditions and
-right-hand sides, the output bank for query events.
+against it are ratios of weighted model counts of its cofactors on an
+input state (see ``dippl.infer``), so every count ranges over the primed
+and flip banks, the WMC universe.  The weights are fixed by the
+program's flips, as the variables are, so ``allocate_banks`` builds them
+once beside the universe: ``VarBanks.weights`` maps each flip variable
+to ``(theta, 1 - theta)`` and every state variable to ``(1, 1)``.  An
+expression compiles onto whichever bank it is given: the input bank for
+conditions and right-hand sides, the output bank for query events.
 
 Each statement compiles frame-free to a pair ``(rel, mod)``: ``mod`` is
 the set of variables the statement may write, and ``rel`` mentions only
@@ -51,7 +52,9 @@ tree: O(n log n) store nodes on a chain of n statements, and 897 / 672 /
 336 on those grids.
 
 The double-primed bank exists only inside sequence composition and never
-appears in a finished formula or in the WMC universe.
+appears in a finished formula or in the WMC universe.  The unprimed bank
+appears in ``phi`` but not in the universe: queries fix it by
+restriction before they count.
 
 Variable order: each program variable owns three adjacent positions
 (unprimed, primed, double-primed), so the bank shifts used by
@@ -97,10 +100,11 @@ class VarBanks:
     """Variable-bank bookkeeping for one compiled program.
 
     ``flips`` holds the flip variable ids in the textual order of the
-    program's flips.  ``universe`` (everything except the transient
-    double-primed bank) is the variable set every weighted model count
-    ranges over, and ``weights`` weighs each flip variable
-    ``(theta, 1 - theta)`` and every other variable ``(1, 1)``.
+    program's flips.  ``universe`` (the primed and flip banks) is the
+    variable set every weighted model count ranges over: counts run on
+    cofactors of ``phi`` with the unprimed bank fixed, so it is left out,
+    as is the transient double-primed bank.  ``weights`` weighs each flip
+    variable ``(theta, 1 - theta)`` and every other variable ``(1, 1)``.
     """
 
     unprimed: Mapping[str, int]
@@ -140,8 +144,11 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
             flip_ids[k] = store.add_var(f"f{k}")
         add_triple(name)
 
-    universe = frozenset(unprimed.values()) | frozenset(primed.values()) | frozenset(flip_ids)
-    weights = WeightFn({f: (flip.theta, 1 - flip.theta) for f, flip in zip(flip_ids, flips)})
+    universe = frozenset(primed.values()) | frozenset(flip_ids)
+    # each theta is a Fraction in [0, 1], checked by ``Flip``
+    weights = WeightFn._trusted(
+        {f: (flip.theta, 1 - flip.theta) for f, flip in zip(flip_ids, flips)}
+    )
     banks = VarBanks(unprimed, primed, double_primed, tuple(flip_ids), universe, weights)
     return store, banks
 

@@ -1,15 +1,23 @@
 """Probability queries against compiled programs.
 
 Every query is a ratio of weighted model counts over the compiled
-relation ``phi``: with ``<s>`` the input-state cube and ``<t>'`` the
+relation ``phi`` conditioned on the input state ``s``.  Conditioning is
+restriction: ``phi|s`` is the cofactor of ``phi`` with every input
+(unprimed) variable fixed to its value in ``s`` (``NodeStore.restrict``),
+a function of the output and flip variables only.  With ``<t>'`` the
 output-state cube,
 
-    transition probability  =  wmc(phi & <s> & <t>') / wmc(phi & <s>)
-    acceptance probability  =  wmc(phi & <s>)
-    event probability       =  wmc(phi & <s> & event') / wmc(phi & <s>)
+    transition probability  =  wmc(phi|s & <t>') / wmc(phi|s)
+    acceptance probability  =  wmc(phi|s)
+    event probability       =  wmc(phi|s & event') / wmc(phi|s)
 
 where ``event'`` is the query expression compiled straight onto the
-output bank.  The ratios are one path: a transition query is an event
+output bank.  These equal the counts of the conjunction ``phi & <s>``
+(``<s>`` the input-state cube) over the input bank as well, because the
+input variables weigh ``(1, 1)`` and ``<s>`` fixes them; but the
+cofactor is smaller than the conjunction, and one walk over ``phi``
+builds it, where the conjunction needs a cube and an ``apply``.
+The ratios are one path: a transition query is an event
 query whose event is the target cube, and ``marginals`` asks every
 variable's literal as an event from one conditioning and one
 denominator.  The weights and the universe are
@@ -31,24 +39,26 @@ ints scaled by a product ``S`` of the weights' denominators and divides
 ``S`` out once.  A caller that wants a decimal applies ``float()`` to
 the answer; there is no second arithmetic.
 
-A node's scaled count depends only on the node, the weights and the
-universe, and the store keeps one table of node counts per weights and
-universe (see ``NodeStore.wmc``), so the queries on one program share
-it; it lives in the program's store and is freed with it.  Passes over a
-conditioned diagram ``phi & <s>`` (denominators and ``accept_prob``)
-add their nodes to it, and a repeated denominator costs one lookup.
-A numerator is one ``wmc`` call on ``phi & <s>`` with the event beside
-it, and builds no diagram when the event is a single literal (a
-variable or its negation): once the denominator has counted
-``phi & <s>``, one downward pass over it gives the count of every
-literal at once, and the store keeps these literal counts beside the
-table, so every later literal marginal from the same start state is a
-lookup.  Any other event is conjoined with ``phi & <s>`` and the
-conjunction counted; below the event's variables it is ``phi & <s>``
-itself, so only the nodes above the event are counted, and they stay
-out of the table, which the conditioned diagrams bound.  The tables,
-like the rest of the store, make a compiled program stateful: queries
-on one ``CompiledProgram`` must not run concurrently.
+The store keeps each start state's cofactor in its operation cache,
+keyed by the input variables and the state's values, so every query after the first from one
+start state conditions with a lookup.  A node's scaled count depends
+only on the node, the weights and the universe, and the store keeps one
+table of node counts per weights and universe (see ``NodeStore.wmc``),
+so the queries on one program share it; it lives in the program's store
+and is freed with it.  Passes over a cofactor ``phi|s`` (denominators
+and ``accept_prob``) add their nodes to it, and a repeated denominator
+costs one lookup.  A numerator is one ``wmc`` call on ``phi|s`` with
+the event beside it, and builds no diagram when the event is a single
+literal (a variable or its negation): once the denominator has counted
+``phi|s``, one downward pass over it gives the count of every literal
+at once, and the store keeps these literal counts beside the table, so
+every later literal marginal from the same start state is a lookup.
+Any other event is conjoined with ``phi|s`` and the conjunction
+counted; below the event's variables it is ``phi|s`` itself, so only
+the nodes above the event are counted, and they stay out of the table,
+which the cofactors bound.  The cofactors and tables, like the rest of
+the store, make a compiled program stateful: queries on one
+``CompiledProgram`` must not run concurrently.
 
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
@@ -121,16 +131,21 @@ class InferenceResult:
 
 
 def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
-    """``phi & <s>``: the relation restricted to the input state
+    """``phi|s``: the cofactor of the relation with the input bank fixed to
     ``from_state`` (all-false when missing), which must bind each program
-    variable exactly once (ValueError otherwise)."""
+    variable exactly once (ValueError otherwise).  The store keeps it per
+    start state, so a repeated start state is one lookup."""
     vars = compiled.program.vars
-    state = State.all_false(vars) if from_state is None else from_state.in_order(vars)
-    return compiled.phi & state_cube(state, compiled.banks.unprimed, compiled.store)
+    if from_state is None:
+        values = (False,) * len(vars)
+    else:
+        values = from_state.in_order(vars).values
+    inputs = tuple(map(compiled.banks.unprimed.__getitem__, vars))
+    return compiled.store.restrict(compiled.phi, inputs, values)
 
 
 def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:
-    """WMC of ``conditioned`` (``phi & <s>``), or of ``conditioned & event``,
+    """WMC of ``conditioned`` (``phi|s``), or of ``conditioned & event``,
     through the store's tables for the program's weights and universe:
     only a pass over ``conditioned`` itself extends the count table."""
     banks = compiled.banks
@@ -142,7 +157,7 @@ def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = N
 def _query(
     compiled: CompiledProgram, from_state: Optional[State], events: list[Bdd], begin: float
 ) -> list[InferenceResult]:
-    """``wmc(phi & <s> & e) / wmc(phi & <s>)`` for each event ``e``, from
+    """``wmc(phi|s & e) / wmc(phi|s)`` for each event ``e``, from
     one conditioning and one denominator; no numerator is counted when
     the denominator is 0.  ``query_ms`` runs from ``begin``, the
     ``perf_counter`` reading at the query's entry, to the last answer."""
@@ -191,7 +206,7 @@ def marginals(
     output state, by name.
 
     One conditioning and one denominator serve every variable, and each
-    numerator is read from the literal counts of ``phi & <s>``, which one
+    numerator is read from the literal counts of ``phi|s``, which one
     downward pass builds (see ``NodeStore.wmc``).  Every entry is
     ``INFEASIBLE`` when the denominator is 0.  Each result's ``query_ms``
     is the wall clock of the whole call.

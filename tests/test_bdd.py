@@ -278,6 +278,86 @@ class TestRename:
         assert min(counts.values()) >= 10, counts
 
 
+class TestRestrict:
+    """``restrict(a, vars, values)`` is the cofactor of ``a``: equal to
+    ``exists(vars, a & cube)`` and to ``a`` read with ``vars`` fixed."""
+
+    @staticmethod
+    def check(store, a, vars, values, variables):
+        result = store.restrict(a, vars, values)
+        assignment = dict(zip(vars, values))
+        assert result == store.exists(vars, a & store.cube(assignment))
+        assert store.support(result).isdisjoint(vars)
+        free = [v for v in variables if v not in assignment]
+        for bits in itertools.product((False, True), repeat=len(free)):
+            env = dict(zip(free, bits))
+            assert helpers.follow(result, env) == helpers.follow(a, {**env, **assignment})
+        return result
+
+    def test_random_diagrams(self):
+        rng = random.Random(29)
+        seen = {"outside support": 0, "terminal result": 0, "empty": 0}
+        for _ in range(80):
+            cached, plain = fresh_store(7), fresh_store(7, op_cache=False)
+            variables = list(range(7))
+            support = rng.sample(variables, rng.randint(1, 7))
+            vars = rng.sample(variables, rng.randint(0, 7))
+            values = [rng.random() < 0.5 for _ in vars]
+            seed = rng.random()
+            results = []
+            for store in (cached, plain):
+                a = helpers.random_bdd(random.Random(seed), store, support)
+                results.append(self.check(store, a, vars, values, variables))
+            # both stores build the same diagram
+            cached_result, plain_result = results
+            assert cached.support(cached_result) == plain.support(plain_result)
+            assert helpers.shape(cached_result) == helpers.shape(plain_result)
+            seen["outside support"] += not set(vars) <= set(support)
+            seen["terminal result"] += results[0].is_terminal
+            seen["empty"] += not vars
+        assert all(seen.values()), seen
+
+    def test_terminal_roots(self):
+        store = fresh_store(3)
+        for value in (True, False):
+            root = store.constant(value)
+            assert self.check(store, root, [0, 2], [True, False], [0, 1, 2]) == root
+
+    def test_repeat_is_one_lookup(self, monkeypatch):
+        walks = []
+        walk = NodeStore._restrict
+
+        def counted(store, root, assignment):
+            walks.append(root)
+            return walk(store, root, assignment)
+
+        monkeypatch.setattr(NodeStore, "_restrict", counted)
+        for op_cache in (True, False):
+            walks.clear()
+            store = fresh_store(4, op_cache=op_cache)
+            a = (store.var(0) & store.var(2)) | (store.var(1) ^ store.var(3))
+            first = store.restrict(a, [2, 0], [True, False])
+            before = len(store)
+            # equal sequences, not the same objects
+            assert store.restrict(a, (2, 0), (True, False)) == first
+            assert len(store) == before
+            assert len(walks) == (1 if op_cache else 2)
+            # clearing the cache frees the cofactor; the handle stays valid
+            store.clear_op_cache()
+            assert store.restrict(a, [2, 0], [True, False]) == first
+            assert len(walks) == (2 if op_cache else 3)
+
+    def test_bad_assignments(self):
+        store = fresh_store(3)
+        a = store.var(0) | store.var(1)
+        with pytest.raises(ValueError):
+            store.restrict(a, [0, 0], [True, False])
+        with pytest.raises(ValueError):
+            store.restrict(a, [0, 1], [True])
+        with pytest.raises(UnknownVar):
+            store.restrict(a, [5], [True])
+
+
 class TestIffCube:
     def test_matches_apply_route(self):
         store = fresh_store(6)
@@ -615,8 +695,12 @@ class TestWeightFn:
     def test_rejects_negative_and_float(self):
         with pytest.raises(ValueError):
             WeightFn({0: (Fraction(-1), Fraction(1))})
+        with pytest.raises(ValueError):
+            WeightFn({0: (1, -2)})
         with pytest.raises(TypeError):
             WeightFn({0: (0.5, 0.5)})
+        with pytest.raises(TypeError):
+            WeightFn({0: (Fraction(1, 2), 0.5)})
 
 
 class TestQueries:

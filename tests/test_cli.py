@@ -10,7 +10,8 @@ from dippl.bdd import NodeStore
 from dippl.cli import main
 from dippl.compiler import compile_program
 from dippl.generators import BenchSpec, gen_chain
-from dippl.lang import parse
+from dippl.infer import event_prob
+from dippl.lang import parse, parse_expr
 
 FIG_CHAIN = """
 x ~ flip(0.5);
@@ -167,6 +168,62 @@ class TestInfer:
         assert main(["infer", chain_file, "--query", "z"]) == 0
         out = capsys.readouterr().out
         assert "value: 3/4" in out
+
+
+class TestAllMarginals:
+    @pytest.mark.parametrize(
+        "source, init, code",
+        [
+            (FIG_CHAIN, None, 0),
+            (BAR2, "x=false", 0),
+            (BAR2, "x=true,y=true", 0),
+            ("x ~ flip(1/3); y := x; observe(x && !y)", None, 2),
+        ],
+        ids=["chain", "bar2-x-false", "bar2-x-true", "infeasible"],
+    )
+    def test_matches_event_prob_per_variable(self, tmp_path, capsys, source, init, code):
+        path = tmp_path / "program.dippl"
+        path.write_text(source)
+        init_args = ["--init", init] if init else []
+        got, report = run_json(
+            capsys, ["infer", str(path), "--all-marginals", *init_args, "--json"]
+        )
+        assert got == code
+        program = parse(source)
+        compiled = compile_program(program)
+        start = cli._parse_init(init, program)
+        assert list(report["marginals"]) == list(program.vars)
+        for name, fields in report["marginals"].items():
+            single = event_prob(compiled, start, parse_expr(name))
+            feasible = not single.infeasible
+            assert fields == {
+                "infeasible": not feasible,
+                "value": str(single.value) if feasible else None,
+                "decimal": float(single.value) if feasible else None,
+                "numerator": str(single.numerator),
+                "denominator": str(single.denominator),
+            }
+            assert fields["infeasible"] is (code == 2)
+        floats = run_json(
+            capsys, ["infer", str(path), "--all-marginals", *init_args, "--json", "--float"]
+        )[1]
+        for name, fields in floats["marginals"].items():
+            exact = report["marginals"][name]
+            assert fields["decimal"] == exact["decimal"]
+            assert fields["numerator"] == str(float(Fraction(exact["numerator"])))
+        assert floats["mode"] == "float"
+
+    def test_human_readable_output(self, chain_file, capsys):
+        assert main(["infer", chain_file, "--all-marginals"]) == 0
+        out = capsys.readouterr().out
+        assert "  z: infeasible=False value=3/4" in out
+
+    def test_misuse_is_usage_error(self, chain_file, capsys):
+        for argv in (["--all-marginals", "--query", "z"], []):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["infer", chain_file, *argv])
+            assert exit_info.value.code == cli.EXIT_USAGE
+            assert "--all-marginals" in capsys.readouterr().err
 
 
 class TestOracleCommand:

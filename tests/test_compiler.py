@@ -84,6 +84,8 @@ class TestVariableOrder:
         store, banks = allocate_banks(parse(FIG_CHAIN))
         assert set(banks.double_primed.values()).isdisjoint(banks.universe)
         assert set(banks.flips) <= banks.universe
+        # counts run on cofactors, whose input bank is fixed
+        assert banks.universe == set(banks.primed.values()) | set(banks.flips)
 
     def test_flips_listed_in_textual_order(self):
         # the k-th flip in textual order is f{k}, weighted by its theta
@@ -191,8 +193,9 @@ class TestCompileStmtRules:
         phi = compile_stmt(parse("skip").body, banks, store)
         weights, universe = banks.weights, banks.universe
         x, xp = banks.unprimed["x"], banks.primed["x"]
-        both_true = store.wmc(phi & store.cube({x: True, xp: True}), weights, universe)
-        mismatched = store.wmc(phi & store.cube({x: True, xp: False}), weights, universe)
+        conditioned = store.restrict(phi, [x], [True])
+        both_true = store.wmc(conditioned & store.var(xp), weights, universe)
+        mismatched = store.wmc(conditioned & ~store.var(xp), weights, universe)
         assert both_true == 1
         assert mismatched == 0
 
@@ -201,7 +204,7 @@ class TestCompileStmtRules:
         store, banks = allocate_banks(program)
         phi, weights = compile_stmt(program.body, banks, store), banks.weights
         for value in (False, True):
-            conditioned = phi & store.cube({banks.unprimed["x"]: value})
+            conditioned = store.restrict(phi, [banks.unprimed["x"]], [value])
             numerator = store.wmc(
                 conditioned & store.var(banks.primed["x"]), weights, banks.universe
             )
@@ -215,12 +218,23 @@ class TestCompileStmtRules:
         assert weights.weight(banks.flips[0]) == (Fraction(3, 5), Fraction(2, 5))
         assert weights.weight(banks.unprimed["x"]) == (1, 1)
 
+    def test_flip_weights_equal_checked_weights(self):
+        # allocate_banks takes Flip's checked thetas without checking them
+        # again; its weights equal, and hash as, those WeightFn checks
+        program = parse(gen_grid(4, "0.5", seed=11))
+        store, banks = allocate_banks(program)
+        checked = WeightFn(
+            {f: (flip.theta, 1 - flip.theta) for f, flip in zip(banks.flips, program.flips)}
+        )
+        assert banks.weights == checked
+        assert hash(banks.weights) == hash(checked)
+
     def test_chain_transition_to_z(self):
         program = parse(FIG_CHAIN)
         store, banks = allocate_banks(program)
         phi, weights = compile_stmt(program.body, banks, store), banks.weights
-        init = state_cube(State.all_false(program.vars), banks.unprimed, store)
-        conditioned = phi & init
+        inputs = [banks.unprimed[name] for name in program.vars]
+        conditioned = store.restrict(phi, inputs, [False] * len(inputs))
         numerator = store.wmc(
             conditioned & store.var(banks.primed["z"]), weights, banks.universe
         )
@@ -231,25 +245,31 @@ class TestCompileStmtRules:
         program = parse(FOO_BAR1)
         store, banks = allocate_banks(program)
         phi, weights = compile_stmt(program.body, banks, store), banks.weights
-        init = state_cube(State.all_false(program.vars), banks.unprimed, store)
+        inputs = [banks.unprimed[name] for name in program.vars]
+        conditioned = store.restrict(phi, inputs, [False] * len(inputs))
         target = state_cube(
             State.from_mapping(program.vars, {"x": False, "y": True}),
             banks.primed,
             store,
         )
-        numerator = store.wmc(phi & init & target, weights, banks.universe)
-        denominator = store.wmc(phi & init, weights, banks.universe)
+        numerator = store.wmc(conditioned & target, weights, banks.universe)
+        denominator = store.wmc(conditioned, weights, banks.universe)
         assert numerator / denominator == Fraction(1, 3)
 
 
 class TestCompiledProgramInvariants:
     def test_support_within_universe(self):
+        # phi reads the input bank besides the universe; its cofactor on
+        # an input state lies within the universe
         rng = random.Random(51)
         for _ in range(30):
             program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3)
             compiled = compile_program(program)
-            support = compiled.store.support(compiled.phi)
-            assert support <= compiled.banks.universe
+            store, banks = compiled.store, compiled.banks
+            inputs = [banks.unprimed[name] for name in program.vars]
+            assert store.support(compiled.phi) <= banks.universe | set(inputs)
+            values = [rng.random() < 0.5 for _ in inputs]
+            assert store.support(store.restrict(compiled.phi, inputs, values)) <= banks.universe
 
     def test_functional_dependence_on_inputs(self):
         # for each assignment to unprimed and flip variables, at most one

@@ -314,7 +314,7 @@ class TestIntegerCounts:
     def test_matches_fraction_reference(self, source):
         c = compile_program(parse(source))
         init = State.all_false(c.program.vars)
-        conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
+        conditioned = infer._conditioned(c, init)
         universe = c.banks.universe
         denominator = helpers.reference_wmc(conditioned, c.banks.weights, universe)
         assert denominator == accept_prob(c, init)
@@ -363,17 +363,92 @@ class TestSharedCountTable:
         assert all(seen.values()), seen
 
     def test_table_keeps_only_conditioned_nodes(self):
-        # numerator diagrams outgrow phi & <s> many times over; a table
+        # numerator diagrams outgrow phi|s many times over; a table
         # that kept their nodes would grow with every marginal
         c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
         init = State.all_false(c.program.vars)
         for i in range(4):
             for j in range(4):
                 assert event_prob(c, init, parse_expr(grid_var(i, j))).value is not INFEASIBLE
-        conditioned = c.phi & state_cube(init, c.banks.unprimed, c.store)
+        conditioned = infer._conditioned(c, init)
         table = c.store._count_layout(c.banks.weights, c.banks.universe).table
         # the conditioned diagram's nodes and the two terminals, no more
         assert len(table) == c.store.node_count(conditioned) + 2
+
+
+class TestConditionByRestriction:
+    """Queries count on the cofactor ``phi|s`` over the primed and flip
+    banks.  Its counts are those of the conjunction ``phi & <s>`` over
+    the input bank as well, which weighs every literal 1."""
+
+    def test_counts_equal_the_conjunction_and_oracle(self):
+        rng = random.Random(113)
+        seen = {"observe": 0, "infeasible": 0, "feasible": 0}
+        for _ in range(200):
+            program = helpers.random_program(rng, max_vars=5, max_flips=6, depth=3, observe_p=0.3)
+            c = compile_program(program)
+            store, banks = c.store, c.banks
+            seen["observe"] += "observe(" in unparse(program)
+            names = list(program.vars)
+            wide = banks.universe | set(banks.unprimed.values())
+            for _ in range(2):
+                init = State(names, tuple(rng.random() < 0.5 for _ in names))
+                target = State(names, tuple(rng.random() < 0.5 for _ in names))
+                event = helpers.random_expr(rng, names)
+                asks = [
+                    (transition_prob(c, init, target), ("transition", target),
+                     state_cube(target, banks.primed, store)),
+                    (event_prob(c, init, event), ("marginal", event),
+                     compile_expr(event, banks.primed, store)),
+                ]
+                for name, result in infer.marginals(c, init).items():
+                    asks.append((result, ("marginal", parse_expr(name)),
+                                 store.var(banks.primed[name])))
+                reference = c.phi & state_cube(init, banks.unprimed, store)
+                denominator = store.wmc(reference, banks.weights, wide)
+                assert accept_prob(c, init) == denominator == oracle.accepting(program, init)
+                seen["infeasible" if denominator == 0 else "feasible"] += 1
+                for result, (kind, arg), event_bdd in asks:
+                    numerator = store.wmc(reference & event_bdd, banks.weights, wide)
+                    assert result.denominator == denominator
+                    assert result.numerator == numerator
+                    assert result.value == _oracle_value(program, kind, init, arg)
+        assert all(seen.values()), seen
+
+    def test_repeated_start_state_is_one_lookup(self, monkeypatch):
+        walks = []
+        walk = NodeStore._restrict
+
+        def counted(store, root, assignment):
+            walks.append(root)
+            return walk(store, root, assignment)
+
+        monkeypatch.setattr(NodeStore, "_restrict", counted)
+        c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
+        init = state_for(c, g0_0=True, g1_2=True)
+        target = state_for(c, g3_3=True)
+        first = event_prob(c, init, parse_expr("g3_3"))
+        # the later queries' events, built up front
+        transition_prob(c, init, target)
+        infer.marginals(c, init)
+        assert len(walks) == 1
+        before = len(c.store)
+        # the same start state, its variables listed in another order
+        reordered = State(reversed(init.vars), reversed(init.values))
+        assert accept_prob(c, reordered) == first.denominator
+        assert event_prob(c, reordered, parse_expr("g2_1")).denominator == first.denominator
+        transition_prob(c, init, target)
+        infer.marginals(c, init)
+        assert len(c.store) == before
+        assert len(walks) == 1
+        # a missing start state is all-false, one more start state
+        event_prob(c, None, parse_expr("g3_3"))
+        event_prob(c, State.all_false(c.program.vars), parse_expr("g3_3"))
+        assert len(walks) == 2
+        # clearing the cache frees the cofactors
+        c.store.clear_op_cache()
+        assert event_prob(c, init, parse_expr("g3_3")).value == first.value
+        assert len(walks) == 3
 
 
 class TestMarginals:
