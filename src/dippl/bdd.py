@@ -14,11 +14,12 @@ the cofactor on an assignment, one walk that builds no cube) are
 provided, plus ``wmc``: a single memoized bottom-up pass computing the
 weighted model count over an explicit variable universe.  A variable of
 the universe skipped along a path contributes its smoothing factor
-(weight-true + weight-false).  ``wmc`` also counts a diagram conjoined
-with an event; when the event is a single literal and the diagram is
-already counted, one top-down pass over the diagram gives the count
-with every literal at once (the differential approach), and no
-conjunction is built.
+(weight-true + weight-false), and a universe variable weighing
+``(0, 0)`` makes every count 0 without a pass.  ``wmc`` also counts a
+diagram conjoined with an event; when the event is a single literal,
+one top-down pass over the counted diagram gives the count with every
+literal at once (the differential approach), and no conjunction is
+built.
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -36,7 +37,9 @@ table of scaled node counts computed under them and the literal counts
 of each root the top-down pass has run on live in the operation cache,
 keyed by the two by value, so every caller that counts with equal
 weights over an equal universe shares one layout and its tables, and
-``clear_op_cache`` frees them with the rest of the cache.
+``clear_op_cache`` frees them with the rest of the cache.  ``wmc`` alone
+decides what the table holds: a pass over a whole diagram writes its
+nodes, and a pass over a conjunction with an event never does.
 """
 
 from __future__ import annotations
@@ -157,16 +160,15 @@ class _CountLayout:
     ``position`` maps each universe variable to its index in the sorted
     universe; ``wt``/``wf`` are the scaled int weights by index and
     ``scale`` the product of the scales.  ``prefix`` holds the prefix
-    products of the nonzero smoothing factors and ``zeros`` a running
-    count of zero factors, so any interval product is one division.
-    ``table`` maps nodes to the scaled counts computed so far, and
-    ``literals`` maps counted roots to their literal counts (see
-    ``NodeStore._literal_counts``).
+    products of the smoothing factors, so any interval product is one
+    division; its last entry is 0 exactly when a universe variable weighs
+    ``(0, 0)``, and then every count is 0 and ``NodeStore.wmc`` runs no
+    pass.  ``table`` maps the nodes of the diagrams counted whole to
+    their scaled counts, and ``literals`` maps the roots of literal
+    events to their literal counts (see ``NodeStore._literal_counts``).
     """
 
-    __slots__ = (
-        "position", "size", "wt", "wf", "prefix", "zeros", "scale", "table", "literals"
-    )
+    __slots__ = ("position", "size", "wt", "wf", "prefix", "scale", "table", "literals")
 
     def __init__(self, weights: WeightFn, universe: frozenset[int]):
         uni = sorted(universe)
@@ -175,7 +177,6 @@ class _CountLayout:
         self.wt: list[int] = []
         self.wf: list[int] = []
         self.prefix = [1]
-        self.zeros = [0]
         self.scale = 1
         for var in uni:
             t, f = weights.weight(var)
@@ -185,13 +186,7 @@ class _CountLayout:
             self.wt.append(t)
             self.wf.append(f)
             self.scale *= s
-            factor = t + f
-            if factor == 0:
-                self.prefix.append(self.prefix[-1])
-                self.zeros.append(self.zeros[-1] + 1)
-            else:
-                self.prefix.append(self.prefix[-1] * factor)
-                self.zeros.append(self.zeros[-1])
+            self.prefix.append(self.prefix[-1] * (t + f))
         self.table: dict[int, int] = {0: 0, 1: 1}
         self.literals: dict[int, list[int]] = {}
 
@@ -639,7 +634,8 @@ class NodeStore:
             return self._wrap(hit)
         for var in vars:
             self._check_var(var)
-        assignment = dict(zip(vars, values))
+        # a value is read for its truth: None fixes its variable to False
+        assignment = dict(zip(vars, map(bool, values)))
         if len(vars) != len(values) or len(assignment) != len(vars):
             raise ValueError("restrict needs one value per variable, each variable once")
         result = self._restrict(root, assignment) if assignment else root
@@ -682,13 +678,7 @@ class NodeStore:
         return len(self._nodes(self._own(a)))
 
     def wmc(
-        self,
-        a: Bdd,
-        weights: WeightFn,
-        universe: Iterable[int],
-        *,
-        event: Optional[Bdd] = None,
-        extend_table: bool = False,
+        self, a: Bdd, weights: WeightFn, universe: Iterable[int], *, event: Optional[Bdd] = None
     ) -> Fraction:
         """Weighted model count of ``a`` (of ``a & event`` when ``event`` is
         given) over total assignments to ``universe``.
@@ -707,36 +697,51 @@ class NodeStore:
         A node's scaled count depends only on the node, ``weights`` and
         ``universe``, so the store keeps one layout and one table of node
         counts per weight function and universe (compared by value), built
-        at their first count.  Every pass reads the table; it writes the
-        nodes it counts into it only when ``extend_table`` is set.
+        at their first count.  Every pass reads the table, and the table
+        holds only diagrams that were counted whole:
 
-        When ``event`` is a single literal (a node on two terminals) of a
-        universe variable, ``a``'s nodes are in the table and no smoothing
-        factor is 0, the count is read from ``a``'s literal counts: one
-        downward pass gives them for every universe variable at once, and
-        the layout keeps them (see ``_literal_counts``).  Any other event
-        is conjoined with ``a`` and the conjunction counted.
+        - no event: the pass over ``a`` writes ``a``'s nodes into it;
+        - a single literal (a node on two terminals) of a universe
+          variable: the count is read from ``a``'s literal counts, which
+          the layout keeps; the first such event on ``a`` counts ``a``
+          into the table and runs one downward pass that gives them for
+          every universe variable at once (see ``_literal_counts``);
+        - any other event: the event is conjoined with ``a`` and the
+          conjunction counted by a pass that writes nothing.
+
+        A universe variable weighing ``(0, 0)`` makes every model weigh 0,
+        so every count is 0 and no pass runs; a support variable
+        outside the universe still raises ``SupportOutsideUniverse``.
         """
         root = self._own(a)
         layout = self._count_layout(weights, universe)
+        memo = layout.table
         if event is not None:
             e = self._own(event)
-            count = self._literal_count(root, e, layout)
-            if count is not None:
-                return Fraction(count, layout.scale)
+            hi = self._hi[e]
+            # a terminal's variable is in no universe
+            k = layout.position.get(self._var[e]) if hi <= 1 and self._lo[e] <= 1 else None
+            if k is not None:
+                counts = layout.literals.get(root)
+                if counts is None:
+                    counts = layout.literals[root] = self._literal_counts(root, layout)
+                return Fraction(counts[k] if hi else counts[-1] - counts[k], layout.scale)
             root = self._apply(_OP_AND, root, e)
+            memo = {}
+        return Fraction(self._count(root, layout, memo), layout.scale)
+
+    def _count(self, root: int, layout: _CountLayout, memo: dict[int, int]) -> int:
+        """Scaled count of ``root`` under ``layout``, read from its table;
+        the nodes the pass counts go into ``memo``."""
         position, size = layout.position, layout.size
-        wt, wf, prefix, zeros = layout.wt, layout.wf, layout.prefix, layout.zeros
-        table = layout.table
-        memo = table if extend_table else {}
+        wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
 
         def edge(child: int, i: int) -> int:
             if child == 0:
                 return 0
             # the position lookup checks the universe: every node is
-            # looked up, and visited even where the span is 0, before it
-            # is counted or read from the table
+            # looked up before it is counted or read from the table
             j = size if child == 1 else position[var_of[child]]
             count = memo.get(child)
             if count is None:
@@ -746,45 +751,34 @@ class NodeStore:
                 memo[child] = count
             if j == i:
                 return count
-            if zeros[i] != zeros[j]:
-                return 0
             return prefix[j] // prefix[i] * count
 
-        try:
-            count = edge(root, 0)
-        except KeyError:
-            missing = {var_of[u] for u in self._nodes(root)}.difference(position)
-            if not missing:
-                raise
+        if prefix[-1]:
+            try:
+                return edge(root, 0)
+            except KeyError:
+                pass  # only the position lookup raises it: reported below
+        missing = {var_of[u] for u in self._nodes(root)}.difference(position)
+        if missing:
             raise SupportOutsideUniverse(
                 f"support variables {sorted(missing)} not in the universe"
-            ) from None
-        return Fraction(count, layout.scale)
-
-    def _literal_count(self, root: int, e: int, layout: _CountLayout) -> Optional[int]:
-        """Scaled count of ``root & e`` from ``root``'s literal counts, or
-        None when ``e`` is not a literal of a universe variable, a
-        smoothing factor is 0 or ``root`` is not in the count table."""
-        if e <= 1 or self._lo[e] > 1 or self._hi[e] > 1:
-            return None
-        k = layout.position.get(self._var[e])
-        if k is None or layout.zeros[-1] or root not in layout.table:
-            return None
-        counts = layout.literals.get(root)
-        if counts is None:
-            counts = layout.literals[root] = self._literal_counts(root, layout)
-        return counts[k] if self._hi[e] else counts[-1] - counts[k]
+            )
+        # a (0, 0) universe variable: every model weighs 0
+        return 0
 
     def _literal_counts(self, root: int, layout: _CountLayout) -> list[int]:
         """Scaled ``wmc(root & v)`` for the universe variable ``v`` at each
         position, then the scaled count of ``root`` itself.
 
-        One top-down pass over ``root``'s nodes (Darwiche's differential
-        pass), which must all be in the count table and under nonzero
-        smoothing factors.  A node's outside weight sums, over the paths
-        from the root to it, the weights along the path; each child gets
-        the node's outside weight times the edge's weight and span.  The
-        node's variable is credited with the mass of its high edge
+        ``root`` is first counted into the table, like any pass over a
+        whole diagram.  A root that counts 0 (every root does under a
+        ``(0, 0)`` universe variable) has every literal count 0; for any
+        other, every smoothing factor is nonzero, and one top-down pass
+        over ``root``'s nodes (Darwiche's differential pass) reads their
+        counts from the table.  A node's outside weight sums, over the
+        paths from the root to it, the weights along the path; each child
+        gets the node's outside weight times the edge's weight and span.
+        The node's variable is credited with the mass of its high edge
         (outside weight times the child's count), and the variables an
         edge skips with the edge's mass, through a difference array: a
         skipped position ``k`` gets ``mass * wt[k] // (wt[k] + wf[k])``,
@@ -794,10 +788,12 @@ class NodeStore:
         wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
         counts = [0] * (size + 1)
+        total = counts[size] = self._count(root, layout, table)
+        if not total:
+            return counts
         # masses of the edges that skip each position, as differences
         skipped = [0] * (size + 1)
         top = size if root <= 1 else position[var_of[root]]
-        total = prefix[top] * table[root]
         skipped[0] = total
         skipped[top] -= total
         outside = {root: prefix[top]}
@@ -835,7 +831,6 @@ class NodeStore:
             running += skipped[k]
             if running:
                 counts[k] += running * wt[k] // (wt[k] + wf[k])
-        counts[size] = total
         return counts
 
     def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:

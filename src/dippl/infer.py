@@ -40,25 +40,17 @@ ints scaled by a product ``S`` of the weights' denominators and divides
 the answer; there is no second arithmetic.
 
 The store keeps each start state's cofactor in its operation cache,
-keyed by the input variables and the state's values, so every query after the first from one
-start state conditions with a lookup.  A node's scaled count depends
-only on the node, the weights and the universe, and the store keeps one
-table of node counts per weights and universe (see ``NodeStore.wmc``),
-so the queries on one program share it; it lives in the program's store
-and is freed with it.  Passes over a cofactor ``phi|s`` (denominators
-and ``accept_prob``) add their nodes to it, and a repeated denominator
-costs one lookup.  A numerator is one ``wmc`` call on ``phi|s`` with
-the event beside it, and builds no diagram when the event is a single
-literal (a variable or its negation): once the denominator has counted
-``phi|s``, one downward pass over it gives the count of every literal
-at once, and the store keeps these literal counts beside the table, so
-every later literal marginal from the same start state is a lookup.
-Any other event is conjoined with ``phi|s`` and the conjunction
-counted; below the event's variables it is ``phi|s`` itself, so only
-the nodes above the event are counted, and they stay out of the table,
-which the cofactors bound.  The cofactors and tables, like the rest of
-the store, make a compiled program stateful: queries on one
-``CompiledProgram`` must not run concurrently.
+keyed by the input variables and the state's values, so every query
+after the first from one start state conditions with a lookup.  The
+queries on one program share the store's count table and literal
+counts for the program's weights and universe; ``NodeStore.wmc`` owns
+what they keep.  A denominator is one ``wmc`` call on ``phi|s``, and a
+numerator one call with the event beside it, so the table holds the
+cofactors' nodes only, a repeated denominator is one lookup, and every
+literal marginal after the first from one start state is a lookup too.
+The cofactors and tables, like the rest of the store, make a compiled
+program stateful: queries on one ``CompiledProgram`` must not run
+concurrently.
 
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
@@ -146,12 +138,10 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
 
 def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:
     """WMC of ``conditioned`` (``phi|s``), or of ``conditioned & event``,
-    through the store's tables for the program's weights and universe:
-    only a pass over ``conditioned`` itself extends the count table."""
+    under the program's weights and universe; ``NodeStore.wmc`` decides
+    what its count table keeps."""
     banks = compiled.banks
-    return compiled.store.wmc(
-        conditioned, banks.weights, banks.universe, event=event, extend_table=event is None
-    )
+    return compiled.store.wmc(conditioned, banks.weights, banks.universe, event=event)
 
 
 def _query(

@@ -347,6 +347,16 @@ class TestRestrict:
             assert store.restrict(a, [2, 0], [True, False]) == first
             assert len(walks) == (2 if op_cache else 3)
 
+    def test_none_value_fixes_false(self):
+        # a value is read for its truth, as ``cube`` reads it
+        for op_cache in (True, False):
+            store = fresh_store(3, op_cache=op_cache)
+            a = (store.var(0) & store.var(1)) | store.var(2)
+            cofactor = store.restrict(a, [0], [None])
+            assert cofactor == store.restrict(a, [0], [False]) == store.var(2)
+            assert cofactor == self.check(store, a, [0], [False], [0, 1, 2])
+            assert store.restrict(a, [0, 2], [None, 0]) == store.false
+
     def test_bad_assignments(self):
         store = fresh_store(3)
         a = store.var(0) | store.var(1)
@@ -437,27 +447,37 @@ class TestWmc:
 
     def test_shared_table(self):
         # one store-owned table across many diagrams of one store, weights
-        # and universe
+        # and universe: a pass over a diagram adds exactly its nodes, and
+        # a count with an event that is not a literal adds none
         rng = random.Random(29)
         store = fresh_store(6)
         variables = list(range(6))
         weights = WeightFn({v: (Fraction(v, 7), Fraction(7 - v, 5)) for v in variables})
         table = store._count_layout(weights, variables).table
+        events = 0
         for _ in range(60):
             a = helpers.random_bdd(rng, store, variables)
-            expected = helpers.brute_force_wmc(a, weights, variables)
+            event = helpers.random_bdd(rng, store, variables)
+            if event.is_terminal or not (event.low.is_terminal and event.high.is_terminal):
+                events += 1
+                before = dict(table)
+                expected = helpers.brute_force_wmc(a & event, weights, variables)
+                assert store.wmc(a, weights, variables, event=event) == expected
+                assert table == before
             before = dict(table)
-            assert store.wmc(a, weights, variables) == expected
-            assert table == before  # a read-only pass adds nothing
-            assert store.wmc(a, weights, variables, extend_table=True) == expected
-            assert set(table) - set(before) <= {0, 1} | self.reachable(a)
+            assert store.wmc(a, weights, variables) == helpers.brute_force_wmc(
+                a, weights, variables
+            )
+            assert set(table) - set(before) == self.reachable(a) - set(before)
             assert self.reachable(a) <= set(table)
+        assert events > 40
 
     def test_integer_pass_matches_fraction_reference(self):
         # random weight sets over 8 variables: zero weights and (0, 0)
         # levels, mixed denominators, integer weights above 1, and
         # diagrams on part of the universe; each weight set and universe
-        # has its own table in the one store, read before it is extended
+        # has its own table in the one store, extended by the first count
+        # of a diagram and read by the second
         rng = random.Random(47)
         store = fresh_store(8)
         pool = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(5, 2)]
@@ -477,10 +497,10 @@ class TestWmc:
                 a = helpers.random_bdd(rng, store, support)
                 expected = helpers.reference_wmc(a, weights, universe)
                 assert expected == helpers.brute_force_wmc(a, weights, universe)
+                counted = store.wmc(a, weights, universe)
                 read = store.wmc(a, weights, universe)
-                extended = store.wmc(a, weights, universe, extend_table=True)
-                assert read == extended == expected
-                assert type(read) is Fraction and type(extended) is Fraction
+                assert counted == read == expected
+                assert type(counted) is Fraction and type(read) is Fraction
                 seen["absent"] += len(store.support(a)) < len(universe)
                 seen["zero count"] += expected == 0
             table = store._count_layout(weights, universe).table
@@ -502,7 +522,7 @@ class TestWmc:
             weights, universe = rng.choice(keys)
             a = helpers.random_bdd(rng, store, list(universe))
             expected = helpers.brute_force_wmc(a, weights, list(universe))
-            assert store.wmc(a, weights, universe, extend_table=True) == expected
+            assert store.wmc(a, weights, universe) == expected
             for weights, universe in keys:
                 if store.support(a) <= set(universe):
                     assert store.wmc(a, weights, universe) == helpers.brute_force_wmc(
@@ -515,7 +535,7 @@ class TestWmc:
         store = fresh_store(4)
         entries = {0: (Fraction(1, 3), Fraction(2, 3)), 2: (1, Fraction(1, 2))}
         a = store.var(0) | store.var(2)
-        first = store.wmc(a, WeightFn(entries), frozenset({0, 1, 2, 3}), extend_table=True)
+        first = store.wmc(a, WeightFn(entries), frozenset({0, 1, 2, 3}))
         layout = store._count_layout(WeightFn(entries), {0, 1, 2, 3})
         # an equal but distinct WeightFn, and the universe as a list
         assert store.wmc(a, WeightFn(dict(entries)), [3, 2, 1, 0]) == first
@@ -538,7 +558,7 @@ class TestWmc:
             for store in (cached, plain):
                 # the same function on both stores
                 a = helpers.random_bdd(random.Random(seed), store, list(range(5)))
-                counts.append(store.wmc(a, weights, range(5), extend_table=True))
+                counts.append(store.wmc(a, weights, range(5)))
                 assert counts[-1] == helpers.brute_force_wmc(a, weights, list(range(5)))
             assert counts[0] == counts[1]
         assert len(plain._cache) == 0
@@ -584,9 +604,9 @@ class TestWmc:
 
 
 class TestLiteralCounts:
-    """``wmc(a, w, U, event=lit)`` for a single literal ``lit`` equals
-    ``wmc(a & lit, w, U)`` on an uncached store and by brute force, whether
-    the count comes from ``a``'s literal counts or from the conjunction."""
+    """``wmc(a, w, U, event=lit)`` for a single literal ``lit`` is read
+    from ``a``'s literal counts and equals ``wmc(a & lit, w, U)`` on an
+    uncached store and by brute force."""
 
     POOL = [0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(5, 2)]
 
@@ -594,10 +614,10 @@ class TestLiteralCounts:
     def literal(store, var, positive):
         return store.var(var) if positive else store.not_(store.var(var))
 
-    def check(self, store, plain, a, b, weights, universe, *, from_table):
+    def check(self, store, plain, a, b, weights, universe):
         """Both literals of each universe variable: ``a`` on ``store`` and
-        the same function ``b`` on the uncached ``plain``.  From the table,
-        a count builds no node and leaves ``a``'s literal counts behind."""
+        the same function ``b`` on the uncached ``plain``.  A count builds
+        no node and leaves ``a``'s literal counts behind."""
         for var in universe:
             for positive in (True, False):
                 plain_lit = self.literal(plain, var, positive)
@@ -607,10 +627,9 @@ class TestLiteralCounts:
                 before = len(store)
                 got = store.wmc(a, weights, universe, event=lit)
                 assert type(got) is Fraction
-                if from_table:
-                    assert len(store) == before
+                assert len(store) == before
                 assert got == expected == helpers.brute_force_wmc(a & lit, weights, universe)
-        assert (a.idx in self.literals(store, weights, universe)) == from_table
+        assert a.idx in self.literals(store, weights, universe)
 
     @staticmethod
     def literals(store, weights, universe):
@@ -641,8 +660,8 @@ class TestLiteralCounts:
             seed = rng.random()
             a = helpers.random_bdd(random.Random(seed), store, support)
             b = helpers.random_bdd(random.Random(seed), plain, support)
-            store.wmc(a, weights, universe, extend_table=True)
-            self.check(store, plain, a, b, weights, universe, from_table=True)
+            store.wmc(a, weights, universe)
+            self.check(store, plain, a, b, weights, universe)
             for var in universe:
                 seen["outside support"] += var not in store.support(a)
                 seen["skipped level"] += var in store.support(a) and self.skips(store, a, var)
@@ -655,8 +674,8 @@ class TestLiteralCounts:
         weights = WeightFn({v: (Fraction(v + 1, 7), Fraction(2, v + 3)) for v in range(5)})
         a = store.var(0) | store.var(3)
         b = plain.var(0) | plain.var(3)
-        store.wmc(a, weights, range(5), extend_table=True)
-        self.check(store, plain, a, b, weights, range(5), from_table=True)
+        store.wmc(a, weights, range(5))
+        self.check(store, plain, a, b, weights, range(5))
         assert self.skips(store, a, 1) and self.skips(store, a, 2)
 
     def test_terminal_roots(self):
@@ -664,26 +683,39 @@ class TestLiteralCounts:
         weights = WeightFn({0: (Fraction(1, 3), Fraction(1, 2)), 2: (3, 0)})
         for value in (True, False):
             a, b = store.constant(value), plain.constant(value)
-            self.check(store, plain, a, b, weights, range(4), from_table=True)
+            self.check(store, plain, a, b, weights, range(4))
 
-    def test_zero_factor_level_takes_the_conjunction(self):
+    def test_zero_factor_level_counts_zero(self):
+        # every model weighs 0, so every count is 0 and no pass runs:
+        # the table keeps only the terminals
         store, plain = fresh_store(4), fresh_store(4, op_cache=False)
         weights = WeightFn({1: (0, 0), 2: (Fraction(1, 4), Fraction(3, 4))})
         for build in (lambda s: s.var(0) & s.var(2), lambda s: s.var(1) | s.var(3)):
             a, b = build(store), build(plain)
-            store.wmc(a, weights, range(4), extend_table=True)
-            self.check(store, plain, a, b, weights, range(4), from_table=False)
+            assert store.wmc(a, weights, range(4)) == 0
+            assert store.wmc(a, weights, range(4), event=store.var(0) ^ store.var(3)) == 0
+            for var in range(4):
+                for positive in (True, False):
+                    lit = self.literal(store, var, positive)
+                    assert store.wmc(a, weights, range(4), event=lit) == 0
+            self.check(store, plain, a, b, weights, range(4))
+        assert store._count_layout(weights, range(4)).table == {0: 0, 1: 1}
 
-    def test_uncounted_root_takes_the_conjunction(self):
+    def test_uncounted_root_is_counted_then_read(self):
+        # the first literal event counts the root into the table, and
+        # every count is read from its literal counts
         store, plain = fresh_store(5), fresh_store(5, op_cache=False)
         weights = WeightFn({v: (Fraction(1, v + 2), 1) for v in range(5)})
         a, b = ((s.var(0) ^ s.var(2)) | (s.var(1) & s.var(4)) for s in (store, plain))
-        self.check(store, plain, a, b, weights, range(5), from_table=False)
+        table = store._count_layout(weights, range(5)).table
+        assert table == {0: 0, 1: 1}
+        self.check(store, plain, a, b, weights, range(5))
+        assert set(table) == {0, 1} | TestWmc.reachable(a)
 
     def test_literal_outside_the_universe(self):
         store = fresh_store(3)
         a = store.var(0) | store.var(1)
-        store.wmc(a, WeightFn(), {0, 1}, extend_table=True)
+        store.wmc(a, WeightFn(), {0, 1})
         with pytest.raises(SupportOutsideUniverse, match=r"\[2\]"):
             store.wmc(a, WeightFn(), {0, 1}, event=store.var(2))
 
