@@ -99,17 +99,20 @@ from .oracle import State
 class VarBanks:
     """Variable-bank bookkeeping for one compiled program.
 
-    ``flips`` holds the flip variable ids in the textual order of the
-    program's flips.  ``universe`` (the primed and flip banks) is the
-    variable set every weighted model count ranges over: counts run on
-    cofactors of ``phi`` with the unprimed bank fixed, so it is left out,
-    as is the transient double-primed bank.  ``weights`` weighs each flip
+    ``inputs`` holds the unprimed variable ids in the order of
+    ``Program.vars`` (the order of a start state's values), and ``flips``
+    the flip variable ids in the textual order of the program's flips.
+    ``universe`` (the primed and flip banks) is the variable set every
+    weighted model count ranges over: counts run on cofactors of ``phi``
+    with the unprimed bank fixed, so it is left out, as is the transient
+    double-primed bank.  ``weights`` weighs each flip
     variable ``(theta, 1 - theta)`` and every other variable ``(1, 1)``.
     """
 
     unprimed: Mapping[str, int]
     primed: Mapping[str, int]
     double_primed: Mapping[str, int]
+    inputs: tuple[int, ...]
     flips: tuple[int, ...]
     universe: frozenset[int]
     weights: WeightFn
@@ -149,7 +152,8 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     weights = WeightFn._trusted(
         {f: (flip.theta, 1 - flip.theta) for f, flip in zip(flip_ids, flips)}
     )
-    banks = VarBanks(unprimed, primed, double_primed, tuple(flip_ids), universe, weights)
+    inputs = tuple(map(unprimed.__getitem__, program.vars))
+    banks = VarBanks(unprimed, primed, double_primed, inputs, tuple(flip_ids), universe, weights)
     return store, banks
 
 

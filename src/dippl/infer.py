@@ -132,8 +132,7 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
         values = (False,) * len(vars)
     else:
         values = from_state.in_order(vars).values
-    inputs = tuple(map(compiled.banks.unprimed.__getitem__, vars))
-    return compiled.store.restrict(compiled.phi, inputs, values)
+    return compiled.store.restrict(compiled.phi, compiled.banks.inputs, values)
 
 
 def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:

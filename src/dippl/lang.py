@@ -31,15 +31,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Iterator, NamedTuple, Union
+from itertools import islice, zip_longest
+from typing import Iterator, Union
 
 
 class ParseError(Exception):
     """Raised on malformed source text; carries 1-based line/column.
 
-    The parser keeps only each token's offset and computes the line and
-    column from it when it raises.
+    Tokens keep no offsets: the parser scans the source again for the
+    failing token's offset, and computes the line and column from it,
+    only when it raises.
     """
 
     def __init__(self, message: str, line: int, column: int):
@@ -196,11 +197,15 @@ class Flip(_Node):
     theta: Fraction
 
     def __post_init__(self):
-        if isinstance(self.theta, float):
-            raise TypeError("flip parameters must be exact rationals, not floats")
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        if not 0 <= self.theta <= 1:
-            raise ValueError(f"flip parameter {self.theta} outside [0, 1]")
+        theta = self.theta
+        if type(theta) is not Fraction:
+            if isinstance(theta, float):
+                raise TypeError("flip parameters must be exact rationals, not floats")
+            theta = Fraction(theta)
+            object.__setattr__(self, "theta", theta)
+        # a Fraction's denominator is positive
+        if theta.numerator < 0 or theta.numerator > theta.denominator:
+            raise ValueError(f"flip parameter {theta} outside [0, 1]")
 
 
 @_node
@@ -290,23 +295,19 @@ class Program:
 
 KEYWORDS = frozenset({"skip", "if", "else", "observe", "flip", "true", "false"})
 
+# One ``findall`` scans the whole source: each match skips the whitespace
+# and "//" comments before a token and captures the token's text, and
+# the last match captures "" at the end (the "eof" token).  The skip
+# takes all it can and never gives any back, since after it the source
+# has ended or the next character is a token's first, or, by ``\S``, a
+# token of one character (an operator, or an unexpected character).
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<decimal>\d+\.\d+)
-    | (?P<int>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>:=|\|\||&&|[~!;(){}/])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"\s*(?://[^\n]*\s*)*([A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?|:=|\|\||&&|\S|\Z)"
 )
-
-
-class _Token(NamedTuple):
-    kind: str  # "decimal", "int", "ident", keyword, operator, or "eof"
-    text: str
-    offset: int  # index of the token's first character in the source
+# the kind of each token that is its own kind: keywords and operators
+_FIXED_KINDS = {"": "eof", **{t: t for t in KEYWORDS | set(":= || && ~ ! ; ( ) { } /".split())}}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGIT = re.compile(r"\d").match
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -315,186 +316,188 @@ def _position(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def _tokenize(source: str) -> list[_Token]:
-    """The tokens of ``source``, ending with an "eof" token.
+def _error(source: str, index: int, message: str) -> ParseError:
+    """A ParseError at the ``index``-th token of ``source``, whose offset
+    is found by scanning again: tokens keep no offsets."""
+    match = next(islice(_TOKEN_RE.finditer(source), index, None))
+    return ParseError(message, *_position(source, match.start(1)))
 
-    Tokens carry offsets only; a ``ParseError`` computes its line and
-    column from the offset when it is raised.
-    """
-    tokens = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "ws":
+
+def _expected(source: str, texts: list[str], index: int, kind: str) -> ParseError:
+    return _error(source, index, f"expected {kind!r}, found {texts[index] or 'end of input'!r}")
+
+
+def _scan(source: str) -> tuple[list[str], list[str]]:
+    """The token texts of ``source`` and their kinds, parallel lists that
+    end with the "eof" token.  A kind is "decimal", "int", "ident", or
+    the text itself for a keyword or operator; each distinct text is
+    classified once.  An unexpected character anywhere raises ParseError
+    before any parsing."""
+    texts = _TOKEN_RE.findall(source)
+    kind_of = dict(_FIXED_KINDS)
+    for text in set(texts).difference(kind_of):
+        kind_of[text] = ("ident" if text[0] in _IDENT_START else "bad" if not _DIGIT(text)
+                         else "decimal" if "." in text else "int")
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "bad" in kind_of.values():
+        i = kinds.index("bad")
+        raise _error(source, i, f"unexpected character {texts[i]!r}")
+    return texts, kinds
+
+
+# The parser walks the token lists by index, ``i`` being the next token;
+# no check reads past the "eof" token, which matches no other kind.
+# Statements are parsed without recursion, since "if"s nest as deep as
+# they are written: ``atoms`` holds the atoms of the innermost open
+# sequence (sequencing nests to the right), and ``outer`` has one entry
+# per enclosing "if": the atoms of the sequence the "if" belongs to, its
+# condition, and its then branch once that is closed.
+def _stmt_at(source: str, texts: list[str], kinds: list[str]) -> tuple[Stmt, int]:
+    """The statement that starts the source, and the index after it."""
+    outer: list[tuple] = []
+    atoms: list[Stmt] = []
+    thetas: dict[tuple[str, str], Fraction] = {}  # each fraction's value, by its texts
+    i = 0
+    while True:
+        kind = kinds[i]
+        if kind == "if":
+            cond, i = _expr_at(source, texts, kinds, i + 1)
+            if kinds[i] != "{":
+                raise _expected(source, texts, i, "{")
+            outer.append((atoms, cond, None))
+            atoms = []
+            i += 1
             continue
-        text = m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", *_position(source, m.start()))
-        if kind == "op" or (kind == "ident" and text in KEYWORDS):
-            kind = text
-        tokens.append(_Token(kind, text, m.start()))
-    tokens.append(_Token("eof", "", len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, *_position(self.source, self.peek().offset))
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    # stmt := atom (";" atom)* ";"?   (sequencing nests to the right)
-    # atom := "if" expr "{" stmt "}" "else" "{" stmt "}" | simple
-    #
-    # Parsed without recursion, since "if"s nest as deep as they are
-    # written: ``atoms`` holds the atoms of the innermost open sequence,
-    # and ``outer`` has one entry per enclosing "if": the atoms of the
-    # sequence the "if" belongs to, its condition, and its then branch
-    # once that is closed.
-    def parse_stmt(self) -> Stmt:
-        outer: list[tuple] = []
-        atoms: list[Stmt] = []
-        while True:
-            if self.peek().kind == "if":
-                self.advance()
-                cond = self.parse_expr()
-                self.expect("{")
-                outer.append((atoms, cond, None))
-                atoms = []
-                continue
-            atoms.append(self.parse_simple())
-            # a ";" and another atom continue the sequence; anything else
-            # ends it, and a "}" then closes a branch of the innermost "if"
-            while True:
-                if self.peek().kind == ";":
-                    self.advance()
-                    if self.peek().kind not in ("eof", "}"):
-                        break
-                stmt = atoms[-1]
-                for atom in reversed(atoms[:-1]):
-                    stmt = Seq(atom, stmt)
-                if not outer:
-                    return stmt
-                self.expect("}")
-                atoms, cond, then_branch = outer.pop()
-                if then_branch is None:
-                    self.expect("else")
-                    self.expect("{")
-                    outer.append((atoms, cond, stmt))
-                    atoms = []
-                    break
-                atoms.append(If(cond, then_branch, stmt))
-
-    def parse_simple(self) -> Stmt:
-        """A statement other than "if"."""
-        tok = self.peek()
-        if tok.kind == "skip":
-            self.advance()
-            return Skip()
-        if tok.kind == "observe":
-            self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            return Observe(cond)
-        if tok.kind == "ident":
-            name = self.advance().text
-            nxt = self.peek()
-            if nxt.kind == ":=":
-                self.advance()
-                return Assign(name, self.parse_expr())
-            if nxt.kind == "~":
-                self.advance()
-                self.expect("flip")
-                self.expect("(")
-                theta = self.parse_number()
-                self.expect(")")
-                return Flip(name, theta)
-            raise self.error("expected ':=' or '~' after identifier")
-        raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
-
-    def parse_number(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind == "decimal":
-            self.advance()
-            return Fraction(tok.text)
-        if tok.kind == "int":
-            self.advance()
-            if self.peek().kind == "/":
-                self.advance()
-                denom_tok = self.expect("int")
-                if int(denom_tok.text) == 0:
-                    raise ParseError(
-                        "zero denominator", *_position(self.source, denom_tok.offset)
-                    )
-                return Fraction(int(tok.text), int(denom_tok.text))
-            return Fraction(int(tok.text))
-        raise self.error("expected a number")
-
-    # expr := orExpr, parsed without recursion: "!" and "(" nest as deep
-    # as they are repeated.  ``ors`` and ``ands`` are the left-folded
-    # "||" and "&&" operands so far and ``nots`` the pending "!"s of the
-    # innermost open parenthesis; ``outer`` saves them for each one
-    # enclosing it.
-    def parse_expr(self) -> Expr:
-        outer: list[tuple] = []
-        ors = ands = None
-        nots = 0
-        while True:
-            while self.peek().kind == "!":
-                self.advance()
-                nots += 1
-            tok = self.peek()
-            if tok.kind == "(":
-                self.advance()
-                outer.append((ors, ands, nots))
-                ors = ands = None
-                nots = 0
-                continue
-            if tok.kind == "true":
-                expr = TRUE
-            elif tok.kind == "false":
-                expr = FALSE
-            elif tok.kind == "ident":
-                expr = VarRef(tok.text)
+        if kind == "ident":
+            name = texts[i]
+            kind = kinds[i + 1]
+            if kind == ":=":
+                rhs, i = _expr_at(source, texts, kinds, i + 2)
+                atoms.append(Assign(name, rhs))
+            elif kind == "~":
+                if kinds[i + 2] != "flip":
+                    raise _expected(source, texts, i + 2, "flip")
+                if kinds[i + 3] != "(":
+                    raise _expected(source, texts, i + 3, "(")
+                i += 4
+                kind = kinds[i]  # number := decimal | integer "/" integer
+                if kind == "int" and kinds[i + 1] == "/":
+                    key = texts[i], texts[i + 2]
+                    theta = thetas.get(key)
+                    if theta is None:
+                        if kinds[i + 2] != "int":
+                            raise _expected(source, texts, i + 2, "int")
+                        denominator = int(texts[i + 2])
+                        if denominator == 0:
+                            raise _error(source, i + 2, "zero denominator")
+                        theta = thetas[key] = Fraction(int(texts[i]), denominator)
+                    i += 2
+                elif kind == "int":
+                    theta = Fraction(int(texts[i]))
+                elif kind == "decimal":
+                    theta = Fraction(texts[i])
+                else:
+                    raise _error(source, i, "expected a number")
+                if kinds[i + 1] != ")":
+                    raise _expected(source, texts, i + 1, ")")
+                i += 2
+                atoms.append(Flip(name, theta))
             else:
-                raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
-            self.advance()
-            # fold the operand in; a ")" closes a parenthesis, whose value
-            # is then the next operand of the one enclosing it
-            while True:
-                for _ in range(nots):
-                    expr = Not(expr)
-                ands = expr if ands is None else And(ands, expr)
-                if self.peek().kind == "&&":
+                raise _error(source, i + 1, "expected ':=' or '~' after identifier")
+        elif kind == "skip":
+            i += 1
+            atoms.append(Skip())
+        elif kind == "observe":
+            if kinds[i + 1] != "(":
+                raise _expected(source, texts, i + 1, "(")
+            cond, i = _expr_at(source, texts, kinds, i + 2)
+            if kinds[i] != ")":
+                raise _expected(source, texts, i, ")")
+            i += 1
+            atoms.append(Observe(cond))
+        else:
+            raise _error(source, i, f"expected a statement, found {texts[i] or 'end of input'!r}")
+        # a ";" and another atom continue the sequence; anything else
+        # ends it, and a "}" then closes a branch of the innermost "if"
+        while True:
+            if kinds[i] == ";":
+                i += 1
+                if kinds[i] != "eof" and kinds[i] != "}":
                     break
-                ors = ands if ors is None else Or(ors, ands)
-                if self.peek().kind == "||":
-                    ands = None
-                    break
-                if not outer:
-                    return ors
-                self.expect(")")
-                expr = ors
-                ors, ands, nots = outer.pop()
-            self.advance()
+            stmt = atoms[-1]
+            for atom in reversed(atoms[:-1]):
+                stmt = Seq(atom, stmt)
+            if not outer:
+                return stmt, i
+            if kinds[i] != "}":
+                raise _expected(source, texts, i, "}")
+            i += 1
+            atoms, cond, then_branch = outer.pop()
+            if then_branch is None:
+                if kinds[i] != "else":
+                    raise _expected(source, texts, i, "else")
+                if kinds[i + 1] != "{":
+                    raise _expected(source, texts, i + 1, "{")
+                i += 2
+                outer.append((atoms, cond, stmt))
+                atoms = []
+                break
+            atoms.append(If(cond, then_branch, stmt))
+
+
+# expr := orExpr, parsed without recursion: "!" and "(" nest as deep
+# as they are repeated.  ``ors`` and ``ands`` are the left-folded
+# "||" and "&&" operands so far and ``nots`` the pending "!"s of the
+# innermost open parenthesis; ``outer`` saves them for each one
+# enclosing it.
+def _expr_at(source: str, texts: list[str], kinds: list[str], i: int) -> tuple[Expr, int]:
+    """The expression that starts at token ``i``, and the index after it."""
+    outer: list[tuple] = []
+    ors = ands = None
+    nots = 0
+    while True:
+        kind = kinds[i]
+        while kind == "!":
+            nots += 1
+            i += 1
+            kind = kinds[i]
+        if kind == "(":
+            outer.append((ors, ands, nots))
+            ors = ands = None
             nots = 0
+            i += 1
+            continue
+        if kind == "ident":
+            expr = VarRef(texts[i])
+        elif kind == "true":
+            expr = TRUE
+        elif kind == "false":
+            expr = FALSE
+        else:
+            raise _error(source, i, f"expected an expression, found {texts[i] or 'end of input'!r}")
+        i += 1
+        # fold the operand in; a ")" closes a parenthesis, whose value
+        # is then the next operand of the one enclosing it
+        while True:
+            for _ in range(nots):
+                expr = Not(expr)
+            ands = expr if ands is None else And(ands, expr)
+            kind = kinds[i]
+            if kind == "&&":
+                break
+            ors = ands if ors is None else Or(ors, ands)
+            if kind == "||":
+                ands = None
+                break
+            if not outer:
+                return ors, i
+            if kind != ")":
+                raise _expected(source, texts, i, ")")
+            i += 1
+            expr = ors
+            ors, ands, nots = outer.pop()
+        i += 1
+        nots = 0
 
 
 def parse(source: str) -> Program:
@@ -503,17 +506,19 @@ def parse(source: str) -> Program:
     Raises ParseError (with line/column) on malformed input and ValueError
     when a flip parameter lies outside [0, 1].
     """
-    parser = _Parser(source)
-    body = parser.parse_stmt()
-    parser.expect("eof")
+    texts, kinds = _scan(source)
+    body, i = _stmt_at(source, texts, kinds)
+    if kinds[i] != "eof":
+        raise _expected(source, texts, i, "eof")
     return Program.from_stmt(body)
 
 
 def parse_expr(source: str) -> Expr:
     """Parse a standalone Boolean expression (used for query strings)."""
-    parser = _Parser(source)
-    expr = parser.parse_expr()
-    parser.expect("eof")
+    texts, kinds = _scan(source)
+    expr, i = _expr_at(source, texts, kinds, 0)
+    if kinds[i] != "eof":
+        raise _expected(source, texts, i, "eof")
     return expr
 
 

@@ -80,6 +80,15 @@ class TestVariableOrder:
             assert banks.primed[name] == u + 1
             assert banks.double_primed[name] == u + 2
 
+    def test_inputs_follow_program_vars(self):
+        # the unprimed ids in the order of a start state's values; here the
+        # unflipped x leads the store order, but y comes first in vars
+        program = parse("y ~ flip(1/2); observe(x || y)")
+        store, banks = allocate_banks(program)
+        assert program.vars == ("y", "x")
+        assert banks.inputs == (banks.unprimed["y"], banks.unprimed["x"])
+        assert [store.var_name(v) for v in banks.inputs] == ["y", "x"]
+
     def test_universe_excludes_double_primes(self):
         store, banks = allocate_banks(parse(FIG_CHAIN))
         assert set(banks.double_primed.values()).isdisjoint(banks.universe)

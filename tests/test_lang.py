@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import lang_reference
+from dippl import lang
+from dippl.generators import gen_chain, gen_grid, gen_ladder
 from dippl.lang import (
     And,
     Assign,
@@ -281,6 +284,150 @@ def test_parser_total_on_grammar():
         program = parse(sentence)
         # the printed form reparses to the same tree
         assert parse(unparse(program)) == program
+
+
+# -- differential test of the one-scan front end ---------------------------
+#
+# ``lang_reference`` is the token-object lexer and method-per-token parser
+# that the one-scan front end replaced.  Both must return equal ASTs, or
+# raise the same exception type with the same message, line and column.
+
+
+def _outcome(parse_fn, source):
+    try:
+        return parse_fn(source)
+    except Exception as error:
+        return type(error), str(error), getattr(error, "line", None), getattr(error, "column", None)
+
+
+def _check_same(source):
+    for name in ("parse", "parse_expr"):
+        got = _outcome(getattr(lang, name), source)
+        want = _outcome(getattr(lang_reference, name), source)
+        assert got == want, (name, source)
+
+
+_generated = st.one_of(
+    st.builds(gen_chain, st.integers(1, 12), st.integers(0, 99)),
+    st.builds(gen_ladder, st.integers(1, 6)),
+    st.builds(
+        lambda k, d, seed: gen_grid(k, d, seed=seed),
+        st.integers(1, 3),
+        st.sampled_from(("0", "0.5", "0.9")),
+        st.integers(0, 99),
+    ),
+)
+_random_programs = st.builds(
+    lambda seed: unparse(helpers.random_program(random.Random(seed), depth=3)),
+    st.integers(0, 10**6),
+)
+_sources = st.one_of(
+    st.builds(unparse, _programs),
+    st.builds(lambda e: unparse(Observe(e))[len("observe(") : -1], _exprs),
+    _generated,
+    _random_programs,
+)
+# the grammar's characters, and ones it rejects or that only \d accepts
+_EDIT_CHARS = "ab_xz019. \n:=~!;(){}/|&" + "\r\t%é²٣"
+
+
+@st.composite
+def _edited_sources(draw):
+    """A source with one to three single-character insertions, deletions
+    or substitutions."""
+    source = draw(_sources)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(source)))
+        char = draw(st.sampled_from(_EDIT_CHARS))
+        edit = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if edit == "insert":
+            source = source[:at] + char + source[at:]
+        else:
+            source = source[:at] + (char if edit == "substitute" else "") + source[at + 1 :]
+    return source
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_sources)
+    def test_valid_sources(self, source):
+        _check_same(source)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_edited_sources())
+    def test_edited_sources(self, source):
+        _check_same(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "skip // no newline at the end",
+            "skip;\n// only a comment",
+            "x := true //",
+            "//",
+            "",
+            " \t\r\n",
+            "x := ; %",
+            "x := true\n%",
+            "if := true",
+            "x := flip",
+            "skip ~ flip(1/2)",
+            "x ~ flip(1/0)",
+            "x ~ flip(3/2)",
+            "x ~ flip(3/2) %",
+            "x ~ flip(1.5) y",
+            "x ~ flip(١/٢)",
+            "x ~ flip(٠.٥)",
+            "x ~ flip(1²)",
+            "é := true",
+            "x1é := true",
+            "x ~ flip(1.)",
+            "x ~ flip(.5)",
+            "x ~ flip(1/2/3)",
+            "x := a & b",
+            "x := a | b",
+            "x : = true",
+            "x ~ flip(007/010)",
+            "a//b := true",
+            "x := (a || b",
+            "x := a)",
+        ],
+    )
+    def test_edge_cases(self, source):
+        _check_same(source)
+
+    def test_unexpected_character_beats_an_earlier_syntax_error(self):
+        with pytest.raises(ParseError, match=r"^1:8: unexpected character '%'$"):
+            parse("x := ; %")
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        # \d accepts any decimal digit: ١/٢ is 1/2, but ² is no digit
+        assert parse("x ~ flip(١/٢)").body.theta == Fraction(1, 2)
+        with pytest.raises(ParseError, match="unexpected character '²'"):
+            parse("x ~ flip(1²)")
+
+    def test_parses_keep_no_state(self):
+        assert parse(FIG_CHAIN).body is not parse(FIG_CHAIN).body
+        assert parse_expr("a && b") is not parse_expr("a && b")
+
+
+_theta_inputs = st.one_of(
+    st.fractions(),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from(("0.6", "1/3", "3/2", "-1/4", "1", "x")),
+)
+
+
+@settings(max_examples=200)
+@given(_theta_inputs)
+def test_flip_validation_matches_conversion_and_range_check(theta):
+    got = _outcome(lambda t: Flip("x", t).theta, theta)
+    want = _outcome(lang_reference.flip_theta, theta)
+    assert got == want
+    if isinstance(got, Fraction):
+        assert type(got) is Fraction
 
 
 # -- validation --------------------------------------------------------------
