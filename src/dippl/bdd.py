@@ -9,17 +9,18 @@ equal.
 Boolean combinators (``apply``, ``not_``), existential quantification,
 renaming (each node it builds is checked against its children, so a
 renaming that would break the order raises where it does), a fused
-conjoin-then-quantify (``and_exists``) and restriction (``restrict``:
-the cofactor on an assignment, one walk that builds no cube) are
-provided, plus ``wmc``: a single memoized bottom-up pass computing the
-weighted model count over an explicit variable universe.  A variable of
-the universe skipped along a path contributes its smoothing factor
-(weight-true + weight-false), and a universe variable weighing
-``(0, 0)`` makes every count 0 without a pass.  ``wmc`` also counts a
-diagram conjoined with an event; when the event is a single literal,
-one top-down pass over the counted diagram gives the count with every
-literal at once (the differential approach), and no conjunction is
-built.
+conjoin-then-quantify (``and_exists``, which can read its second operand
+through an order-preserving shift instead of a renamed copy) and
+restriction (``restrict``: the cofactor on an assignment, one walk that
+builds no cube) are provided, plus ``wmc``: a single memoized bottom-up
+pass computing the weighted model count over an explicit variable
+universe.  A variable of the universe skipped along a path contributes
+its smoothing factor (weight-true + weight-false), and a universe
+variable weighing ``(0, 0)`` makes every count 0 without a pass.
+``wmc`` also counts a diagram conjoined with an event; when the event is
+a single literal, one top-down pass over the counted diagram gives the
+count with every literal at once (the differential approach), and no
+conjunction is built.
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -76,7 +77,8 @@ class UnknownVar(Exception):
 
 
 class OrderViolation(Exception):
-    """A renaming does not preserve the variable order on the support."""
+    """A renaming (or ``and_exists``'s shift) does not preserve the
+    variable order on the support."""
 
 
 class SupportOutsideUniverse(Exception):
@@ -513,49 +515,92 @@ class NodeStore:
         """Existential quantification over a set of variables."""
         return self.and_exists(a, self.true, vars)
 
-    def and_exists(self, a: Bdd, b: Bdd, vars: Iterable[int]) -> Bdd:
+    def and_exists(
+        self, a: Bdd, b: Bdd, vars: Iterable[int], *, shift: Optional[Mapping[int, int]] = None
+    ) -> Bdd:
         """``exists(vars, a & b)`` without building the full conjunction.
 
         Equivalent to the two-step form (checked by differential tests);
         quantified variables are eliminated as soon as the recursion
         passes them, which keeps intermediate results small.
+
+        With ``shift``, ``b`` is read through the renaming: the result is
+        ``exists(vars, a & rename(shift, b))``, and the renamed copy of
+        ``b`` is never built.  The shift must be strictly
+        order-preserving on the part of ``b``'s support the walk reads.
+        Each node of ``b`` the walk meets on a variable no deeper than the
+        shift's deepest source is checked against its children, as
+        ``rename`` checks the nodes it builds: the node's image must sit
+        above its children's images, and OrderViolation is raised at the
+        first node where it does not.  The walk meets only the parts of
+        ``b`` that meet ``a`` (none where ``a`` is False), so a shift that
+        crosses elsewhere does not raise.
         """
         qvars = frozenset(vars)
         for var in qvars:
             self._check_var(var)
         ia, ib = self._own(a), self._own(b)
-        if not qvars:
+        shift = shift or {}
+        for var, target in shift.items():
+            self._check_var(var)
+            self._check_var(target)
+        if not qvars and not shift:
             return self._wrap(self._apply(_OP_AND, ia, ib))
-        max_q = max(qvars)
-        memo: dict[tuple[int, int], int] = {}
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        mk, apply_, image = self._mk, self._apply, shift.get
+        max_q = max(qvars, default=-1)
+        # below ``max_d`` no variable of ``b`` is renamed
+        max_d = max(shift, default=-1)
+        # the walk meets only nodes of ``a`` and ``b``, all older than the
+        # call, so ``x * stride + y`` keys each pair
+        stride = len(var_of)
+        memo: dict[int, int] = {}
+        # the image of each node of ``b`` on a variable up to ``max_d`` the
+        # walk has met, recorded once its children are checked to sit
+        # below it
+        images: dict[int, int] = {}
 
         def rec(x: int, y: int) -> int:
-            if x == 0 or y == 0:
-                return 0
-            if x == 1 and y == 1:
-                return 1
-            var_x, var_y = self._var[x], self._var[y]
-            top = var_x if var_x < var_y else var_y
-            if top > max_q:
-                return self._apply(_OP_AND, x, y)
-            key = (y, x) if x > y else (x, y)
+            # neither operand is False: the caller checks, which saves a
+            # call on every edge to False
+            var_x, var_y = var_of[x], var_of[y]
+            if var_y > max_d and (var_x if var_x < var_y else var_y) > max_q:
+                return apply_(_OP_AND, x, y)
+            key = x * stride + y
             hit = memo.get(key)
             if hit is not None:
                 return hit
+            if var_y <= max_d:
+                seen = images.get(y)
+                if seen is None:
+                    seen = image(var_y, var_y)
+                    for child in (lo_of[y], hi_of[y]):
+                        below = var_of[child]
+                        if below <= max_d:
+                            below = image(below, below)
+                        if below <= seen:
+                            raise OrderViolation(
+                                f"shift is not order-preserving: {var_y} -> {seen} "
+                                f"above variable {below}"
+                            )
+                    images[y] = seen
+                var_y = seen
+            top = var_x if var_x < var_y else var_y
             if var_x == top:
-                x_lo, x_hi = self._lo[x], self._hi[x]
+                x_lo, x_hi = lo_of[x], hi_of[x]
             else:
                 x_lo = x_hi = x
             if var_y == top:
-                y_lo, y_hi = self._lo[y], self._hi[y]
+                y_lo, y_hi = lo_of[y], hi_of[y]
             else:
                 y_lo = y_hi = y
-            lo, hi = rec(x_lo, y_lo), rec(x_hi, y_hi)
-            result = self._apply(_OP_OR, lo, hi) if top in qvars else self._mk(top, lo, hi)
+            lo = rec(x_lo, y_lo) if x_lo and y_lo else 0
+            hi = rec(x_hi, y_hi) if x_hi and y_hi else 0
+            result = apply_(_OP_OR, lo, hi) if top in qvars else mk(top, lo, hi)
             memo[key] = result
             return result
 
-        return self._wrap(rec(ia, ib))
+        return self._wrap(rec(ia, ib) if ia and ib else 0)
 
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._var[u] for u in self._nodes(self._own(a)))

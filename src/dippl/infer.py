@@ -39,9 +39,12 @@ ints scaled by a product ``S`` of the weights' denominators and divides
 ``S`` out once.  A caller that wants a decimal applies ``float()`` to
 the answer; there is no second arithmetic.
 
-The store keeps each start state's cofactor in its operation cache,
-keyed by the input variables and the state's values, so every query
-after the first from one start state conditions with a lookup.  The
+Only the inputs ``phi`` reads are fixed (``CompiledProgram.reads``), and
+a program that reads none, such as one that writes every variable
+before reading it, is its own cofactor on every start state.  The store
+keeps each cofactor in its operation cache, keyed by the inputs read
+and their values, so every query after the first from one start state
+conditions with a lookup.  The
 queries on one program share the store's count table and literal
 counts for the program's weights and universe; ``NodeStore.wmc`` owns
 what they keep.  A denominator is one ``wmc`` call on ``phi|s``, and a
@@ -125,14 +128,22 @@ class InferenceResult:
 def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     """``phi|s``: the cofactor of the relation with the input bank fixed to
     ``from_state`` (all-false when missing), which must bind each program
-    variable exactly once (ValueError otherwise).  The store keeps it per
-    start state, so a repeated start state is one lookup."""
+    variable exactly once (ValueError otherwise).  Only the inputs ``phi``
+    reads (``compiled.reads``) are fixed, and ``phi`` is its own cofactor
+    when it reads none.  The store keeps the cofactor per value of those
+    inputs, so a repeated start state is one lookup."""
     vars = compiled.program.vars
     if from_state is None:
         values = (False,) * len(vars)
     else:
         values = from_state.in_order(vars).values
-    return compiled.store.restrict(compiled.phi, compiled.banks.inputs, values)
+    reads = compiled.reads
+    if not reads:
+        return compiled.phi
+    inputs = compiled.banks.inputs
+    return compiled.store.restrict(
+        compiled.phi, [inputs[i] for i in reads], [values[i] for i in reads]
+    )
 
 
 def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:

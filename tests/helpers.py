@@ -280,11 +280,13 @@ def random_program(
     max_flips: int = 10,
     depth: int = 5,
     observe_p: float = 0.2,
+    length: int | None = None,
 ) -> Program:
-    """A random program within the differential-suite bounds."""
+    """A random program within the differential-suite bounds; its top
+    level is a sequence of ``length`` statements (2 to 4 when missing)."""
     names = [f"v{i}" for i in range(rng.randint(2, max_vars))]
     body, _ = _random_block(
-        rng, names, max_flips, depth, observe_p, rng.randint(2, 4)
+        rng, names, max_flips, depth, observe_p, length or rng.randint(2, 4)
     )
     return Program.from_stmt(body)
 

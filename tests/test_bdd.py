@@ -184,6 +184,110 @@ class TestExists:
             assert fused == two_step
 
 
+class TestAndExistsShift:
+    """``and_exists(a, b, vars, shift=m)`` reads ``b`` through ``m``
+    instead of building ``rename(m, b)``."""
+
+    def test_order_preserving_shifts_equal_rename(self):
+        # random diagrams and random shifts strictly order-preserving on
+        # b's support, some onto a's variables: the handle equals the
+        # two-call form, and an uncached store builds the same diagram
+        rng = random.Random(61)
+        store, plain = fresh_store(8), fresh_store(8, op_cache=False)
+        variables = list(range(8))
+        moved = 0
+        for _ in range(300):
+            # the same draws build a and b in both stores
+            seed = rng.random()
+            a, b, pa, pb = (
+                helpers.random_bdd(random.Random(seed + k), target, variables, size=10)
+                for target in (store, plain)
+                for k in (0, 1)
+            )
+            support = sorted(store.support(b))
+            shift = dict(zip(support, sorted(rng.sample(variables, len(support)))))
+            qvars = {v for v in variables if rng.random() < 0.4}
+            fused = store.and_exists(a, b, qvars, shift=shift)
+            assert fused == store.and_exists(a, store.rename(shift, b), qvars)
+            uncached = plain.and_exists(pa, pb, qvars, shift=shift)
+            assert (store.support(fused), helpers.shape(fused)) == (
+                plain.support(uncached),
+                helpers.shape(uncached),
+            )
+            moved += any(var != image for var, image in shift.items())
+        assert moved >= 200
+
+    def test_bank_shift_as_in_sequencing(self):
+        # the compiler's sequencing shift on triples (u, p, d) = (unprimed,
+        # primed, double-primed): a variable only the first side writes
+        # moves b's u to p, and one both sides write also moves b's p to
+        # d and quantifies p
+        rng = random.Random(67)
+        store = fresh_store(9)
+        for _ in range(100):
+            shift, qvars, b_vars = {}, [], []
+            for u in (0, 3, 6):
+                mode = rng.choice(("neither", "first", "both"))
+                b_vars += [u] if mode == "first" else [u, u + 1]
+                if mode != "neither":
+                    shift[u] = u + 1
+                if mode == "both":
+                    shift[u + 1] = u + 2
+                    qvars.append(u + 1)
+            a = helpers.random_bdd(rng, store, [0, 1, 3, 4, 6, 7])
+            b = helpers.random_bdd(rng, store, b_vars)
+            fused = store.and_exists(a, b, qvars, shift=shift)
+            assert fused == store.and_exists(a, store.rename(shift, b), qvars)
+
+    def test_order_violation(self):
+        store = fresh_store(3)
+        conj = store.apply("and", store.var(0), store.var(1))
+        for vars in ([], [1], [2]):
+            with pytest.raises(OrderViolation):
+                store.and_exists(store.true, conj, vars, shift={0: 2})  # crosses 1
+            with pytest.raises(OrderViolation):
+                store.and_exists(store.true, conj, vars, shift={0: 1, 1: 0})  # swap
+        # the walk stops where a is false, so it never reads the crossing
+        assert store.and_exists(store.false, conj, [], shift={0: 2}).is_false
+
+    def test_crossing_shifts_raise_where_rename_raises(self):
+        # against a true a the walk reads every shifted node of b, so it
+        # raises exactly where rename does; against any a, whenever it
+        # returns, it returns the substitution built node by node with ite
+        rng = random.Random(71)
+        store = fresh_store(7)
+        variables = list(range(7))
+        counts = {"raised": 0, "returned": 0}
+        for _ in range(400):
+            b = _random_tree(rng, store, variables)
+            support = sorted(store.support(b))
+            if rng.random() < 0.5:
+                shift = dict(zip(support, rng.sample(variables, len(support))))
+            else:
+                keys = rng.sample(variables, rng.randint(1, 4))
+                shift = {var: rng.randrange(7) for var in keys}
+            qvars = {v for v in variables if rng.random() < 0.3}
+            injective = len(set(shift.values())) == len(shift)
+            try:
+                expected = store.and_exists(store.true, store.rename(shift, b), qvars)
+            except OrderViolation:
+                expected = None
+            try:
+                got = store.and_exists(store.true, b, qvars, shift=shift)
+            except OrderViolation:
+                got = None
+            if injective:
+                assert got == expected
+            counts["raised" if got is None else "returned"] += 1
+            a = helpers.random_bdd(rng, store, variables, size=6)
+            try:
+                got = store.and_exists(a, b, qvars, shift=shift)
+            except OrderViolation:
+                continue
+            assert got == store.and_exists(a, _substitute(store, shift, b), qvars)
+        assert min(counts.values()) >= 50, counts
+
+
 class TestRename:
     def test_single_shift(self):
         store = fresh_store(2)

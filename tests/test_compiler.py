@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from dippl.lang import (
     VarRef,
     parse,
     parse_expr,
+    seq_atoms,
     unparse,
 )
 from dippl.oracle import State, all_states, eval_expr
@@ -338,6 +338,17 @@ class TestFrameFreeCompilation:
             self.assert_matches_reference(program)
         assert {"Observe", "nested If", "Flip", "Assign", "Skip"} <= kinds
 
+    def test_long_random_sequences(self):
+        # top-level sequences of 20 to 30 statements: the two-ended fold
+        # extends both ends and joins them in the middle
+        rng = random.Random(59)
+        for _ in range(60):
+            program = helpers.random_program(
+                rng, max_vars=6, max_flips=12, depth=3, length=rng.randint(20, 30)
+            )
+            assert len(seq_atoms(program.body)) >= 20
+            self.assert_matches_reference(program)
+
     @pytest.mark.parametrize(
         "source",
         [gen_chain(40, 3), gen_ladder(30)]
@@ -348,15 +359,19 @@ class TestFrameFreeCompilation:
         self.assert_matches_reference(parse(source))
 
     @pytest.mark.parametrize("n", [100, 400])
-    def test_chain_store_grows_as_n_log_n(self, n):
-        # the frame-carrying compiler allocated about 10 * n^2 nodes
+    def test_chain_store_grows_linearly(self, n):
+        # the frame-carrying compiler allocated about 10 * n^2 nodes and
+        # a balanced tree of steps about 3.1 to 3.4 * n * log2(n); the
+        # two-ended fold allocates 11 * n
         stats = compile_program(parse(gen_chain(n, 7))).stats
-        assert stats.store_nodes <= 4 * n * math.log2(n)
+        assert stats.store_nodes <= 12 * n
 
     @pytest.mark.parametrize("k", [100, 400])
-    def test_ladder_store_grows_as_k_log_k(self, k):
+    def test_ladder_store_grows_linearly(self, k):
+        # a balanced tree of steps allocated about 2 * k * log2(k); the
+        # two-ended fold allocates about 6 * k
         stats = compile_program(parse(gen_ladder(k))).stats
-        assert stats.store_nodes <= 3 * k * math.log2(k)
+        assert stats.store_nodes <= 7 * k
 
 
 class TestStructure:

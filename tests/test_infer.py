@@ -31,6 +31,16 @@ x ~ flip(1/3);
 if x { y ~ flip(1/4) } else { y ~ flip(1/2) }
 """
 
+# reads the inputs a and d before writing them; b, c and e are written
+# before they are read
+READS_INPUTS = """
+if a { b ~ flip(1/3) } else { b ~ flip(3/4) };
+c := b || d;
+observe(a || c);
+e ~ flip(1/2);
+if e { a := c } else { a ~ flip(1/5) }
+"""
+
 FOO_BAR2 = """
 x ~ flip(1/3);
 y ~ flip(1/2);
@@ -415,7 +425,8 @@ class TestConditionByRestriction:
                     assert result.value == _oracle_value(program, kind, init, arg)
         assert all(seen.values()), seen
 
-    def test_repeated_start_state_is_one_lookup(self, monkeypatch):
+    @staticmethod
+    def count_walks(monkeypatch) -> list:
         walks = []
         walk = NodeStore._restrict
 
@@ -424,10 +435,15 @@ class TestConditionByRestriction:
             return walk(store, root, assignment)
 
         monkeypatch.setattr(NodeStore, "_restrict", counted)
-        c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
-        init = state_for(c, g0_0=True, g1_2=True)
-        target = state_for(c, g3_3=True)
-        first = event_prob(c, init, parse_expr("g3_3"))
+        return walks
+
+    def test_repeated_start_state_is_one_lookup(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        c = compile_program(parse(READS_INPUTS))
+        assert [c.program.vars[i] for i in c.reads] == ["a", "d"]
+        init = state_for(c, a=True, d=True)
+        target = state_for(c, a=True, b=True, c=True, d=True)
+        first = event_prob(c, init, parse_expr("c"))
         # the later queries' events, built up front
         transition_prob(c, init, target)
         infer.marginals(c, init)
@@ -436,19 +452,38 @@ class TestConditionByRestriction:
         # the same start state, its variables listed in another order
         reordered = State(reversed(init.vars), reversed(init.values))
         assert accept_prob(c, reordered) == first.denominator
-        assert event_prob(c, reordered, parse_expr("g2_1")).denominator == first.denominator
+        assert event_prob(c, reordered, parse_expr("b")).denominator == first.denominator
         transition_prob(c, init, target)
         infer.marginals(c, init)
+        # a start state that differs only in inputs phi never reads
+        unread = state_for(c, a=True, b=True, d=True, e=True)
+        assert event_prob(c, unread, parse_expr("c")).value == first.value
         assert len(c.store) == before
         assert len(walks) == 1
         # a missing start state is all-false, one more start state
-        event_prob(c, None, parse_expr("g3_3"))
-        event_prob(c, State.all_false(c.program.vars), parse_expr("g3_3"))
+        event_prob(c, None, parse_expr("c"))
+        event_prob(c, State.all_false(c.program.vars), parse_expr("c"))
         assert len(walks) == 2
         # clearing the cache frees the cofactors
         c.store.clear_op_cache()
-        assert event_prob(c, init, parse_expr("g3_3")).value == first.value
+        assert event_prob(c, init, parse_expr("c")).value == first.value
         assert len(walks) == 3
+
+    def test_program_reading_no_input_makes_no_walk(self, monkeypatch):
+        # a grid writes every variable before reading it: phi is its own
+        # cofactor on every start state
+        walks = self.count_walks(monkeypatch)
+        c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
+        assert c.reads == ()
+        init = state_for(c, g0_0=True, g1_2=True)
+        assert infer._conditioned(c, init) == c.phi
+        first = event_prob(c, init, parse_expr("g3_3"))
+        assert event_prob(c, None, parse_expr("g3_3")).value == first.value
+        infer.marginals(c, init)
+        assert walks == []
+        # the start state is still checked
+        with pytest.raises(ValueError):
+            event_prob(c, State(("g0_0",), (True,)), parse_expr("g3_3"))
 
 
 class TestMarginals:
