@@ -6,15 +6,14 @@ table, and an operation cache.  Nodes are reduced on construction, so
 two functions over one store are equal exactly when their handles are
 equal.
 
-Boolean combinators (``apply``, ``not_``), existential quantification,
-renaming (each node it builds is checked against its children, so a
-renaming that would break the order raises where it does), a fused
-conjoin-then-quantify (``and_exists``, which can read its second operand
-through an order-preserving shift instead of a renamed copy) and
-restriction (``restrict``: the cofactor on an assignment, one walk that
-builds no cube) are provided, plus ``wmc``: a single memoized bottom-up
-pass computing the weighted model count over an explicit variable
-universe.  A variable of the universe skipped along a path contributes
+Boolean combinators (``apply``, ``not_``), the relational product
+``and_exists`` (conjoin, then quantify, reading the second operand
+through an order-preserving shift instead of a renamed copy), and
+existential quantification, renaming and restriction (``restrict``: the
+cofactor on an assignment), which are runs of that one walk under its
+one order contract, are provided, plus ``wmc``: a single memoized
+bottom-up pass computing the weighted model count over an explicit
+variable universe.  A variable of the universe skipped along a path contributes
 its smoothing factor (weight-true + weight-false), and a universe
 variable weighing ``(0, 0)`` makes every count 0 without a pass.
 ``wmc`` also counts a diagram conjoined with an event; when the event is
@@ -29,7 +28,7 @@ arithmetic; the product of the scales is divided out once, at the end.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
-The quantifier/renaming/restriction walks use per-call memo tables;
+The relational-product walk uses a per-call memo table;
 ``restrict`` keeps its result in the operation cache, keyed by the root
 and the assignment by value, so a repeated restriction is one lookup.
 Weighted counting is owned by the store: the count layout of a weight
@@ -77,8 +76,8 @@ class UnknownVar(Exception):
 
 
 class OrderViolation(Exception):
-    """A renaming (or ``and_exists``'s shift) does not preserve the
-    variable order on the support."""
+    """A renaming (``and_exists``'s shift, or ``rename``) puts a node's
+    image at or below the image of one of its children's variables."""
 
 
 class SupportOutsideUniverse(Exception):
@@ -509,11 +508,14 @@ class NodeStore:
         self._cache[key] = result
         return result
 
-    # -- quantification and renaming -----------------------------------------
+    # -- quantification, renaming and restriction ------------------------------
 
     def exists(self, vars: Iterable[int], a: Bdd) -> Bdd:
         """Existential quantification over a set of variables."""
-        return self.and_exists(a, self.true, vars)
+        qvars = frozenset(vars)
+        for var in qvars:
+            self._check_var(var)
+        return self._wrap(self._and_exists(self._own(a), 1, qvars, {}))
 
     def and_exists(
         self, a: Bdd, b: Bdd, vars: Iterable[int], *, shift: Optional[Mapping[int, int]] = None
@@ -521,20 +523,20 @@ class NodeStore:
         """``exists(vars, a & b)`` without building the full conjunction.
 
         Equivalent to the two-step form (checked by differential tests);
-        quantified variables are eliminated as soon as the recursion
-        passes them, which keeps intermediate results small.
+        quantified variables are eliminated as soon as the walk passes
+        them, which keeps intermediate results small.
 
         With ``shift``, ``b`` is read through the renaming: the result is
         ``exists(vars, a & rename(shift, b))``, and the renamed copy of
-        ``b`` is never built.  The shift must be strictly
-        order-preserving on the part of ``b``'s support the walk reads.
-        Each node of ``b`` the walk meets on a variable no deeper than the
-        shift's deepest source is checked against its children, as
-        ``rename`` checks the nodes it builds: the node's image must sit
-        above its children's images, and OrderViolation is raised at the
-        first node where it does not.  The walk meets only the parts of
-        ``b`` that meet ``a`` (none where ``a`` is False), so a shift that
-        crosses elsewhere does not raise.
+        ``b`` is never built.  The order contract (``exists``, ``rename``
+        and ``restrict`` are runs of this walk): each node of ``b`` the
+        walk meets on a variable no deeper than the shift's deepest source
+        must have its image above the images of its children's variables,
+        or OrderViolation is raised at the first node where it does not.
+        So a shift strictly order-preserving on ``b``'s support never
+        raises, and the walk meets only the parts of ``b`` that meet ``a``
+        (none where ``a`` is False), so a shift that crosses elsewhere does
+        not raise.
         """
         qvars = frozenset(vars)
         for var in qvars:
@@ -544,18 +546,26 @@ class NodeStore:
         for var, target in shift.items():
             self._check_var(var)
             self._check_var(target)
+        return self._wrap(self._and_exists(ia, ib, qvars, shift))
+
+    def _and_exists(self, x: int, y: int, qvars, shift: Mapping[int, int]) -> int:
+        """``and_exists`` on handles, the one walk behind ``exists`` (``y``
+        True), ``rename`` (``x`` True, no ``qvars``) and ``restrict``
+        (``y`` the assignment's cube, ``qvars`` its variables).  ``qvars``
+        is any container of variable ids; the caller has checked them all.
+        """
         if not qvars and not shift:
-            return self._wrap(self._apply(_OP_AND, ia, ib))
+            return self._apply(_OP_AND, x, y)
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
         mk, apply_, image = self._mk, self._apply, shift.get
-        max_q = max(qvars, default=-1)
-        # below ``max_d`` no variable of ``b`` is renamed
-        max_d = max(shift, default=-1)
-        # the walk meets only nodes of ``a`` and ``b``, all older than the
+        max_q = max(qvars) if qvars else -1
+        # below ``max_d`` no variable of ``y`` is renamed
+        max_d = max(shift) if shift else -1
+        # the walk meets only nodes of ``x`` and ``y``, all older than the
         # call, so ``x * stride + y`` keys each pair
         stride = len(var_of)
         memo: dict[int, int] = {}
-        # the image of each node of ``b`` on a variable up to ``max_d`` the
+        # the image of each node of ``y`` on a variable up to ``max_d`` the
         # walk has met, recorded once its children are checked to sit
         # below it
         images: dict[int, int] = {}
@@ -580,7 +590,7 @@ class NodeStore:
                             below = image(below, below)
                         if below <= seen:
                             raise OrderViolation(
-                                f"shift is not order-preserving: {var_y} -> {seen} "
+                                f"renaming is not order-preserving: {var_y} -> {seen} "
                                 f"above variable {below}"
                             )
                     images[y] = seen
@@ -600,7 +610,7 @@ class NodeStore:
             memo[key] = result
             return result
 
-        return self._wrap(rec(ia, ib) if ia and ib else 0)
+        return rec(x, y) if x and y else 0
 
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._var[u] for u in self._nodes(self._own(a)))
@@ -620,56 +630,29 @@ class NodeStore:
         return seen
 
     def rename(self, mapping: Mapping[int, int], a: Bdd) -> Bdd:
-        """Simultaneous variable substitution, a single structural pass.
-
-        Unmapped variables map to themselves.  The pass rebuilds each
-        node on its renamed children, and the node's image must be
-        smaller than the variables those children test; OrderViolation
-        is raised at the first node where it is not.  So a mapping
-        strictly order-preserving on the support never raises, and a
-        mapping that crosses only on paths that never meet (``{1: 2,
-        2: 1}`` on ``ite(v0, v1, v2)``) still substitutes.
+        """Simultaneous variable substitution: the shifted ``and_exists``
+        walk of ``a`` against True, under its order contract.  A mapping
+        strictly order-preserving on the support never raises, and one
+        that crosses only on paths that never meet (``{1: 2, 2: 1}`` on
+        ``ite(v0, v1, v2)``) still substitutes; one that merges variables
+        can raise where the substitution is ordered (``{1: 3, 4: 5}`` on
+        ``ite(v1, ite(v2, v5, v4), False)``: 1's image 3 sits below 2).
         """
         root = self._own(a)
         for var, target in mapping.items():
             self._check_var(var)
             self._check_var(target)
-        if not mapping:
-            return a
-        var_of, lo_of, hi_of = self._var, self._lo, self._hi
-        max_d = max(mapping)
-        memo: dict[int, int] = {}
-
-        def rec(u: int) -> int:
-            if u <= 1 or var_of[u] > max_d:
-                return u
-            hit = memo.get(u)
-            if hit is not None:
-                return hit
-            var = var_of[u]
-            image = mapping.get(var, var)
-            lo, hi = rec(lo_of[u]), rec(hi_of[u])
-            if image >= var_of[lo] or image >= var_of[hi]:
-                raise OrderViolation(
-                    f"renaming is not order-preserving: {var} -> {image} "
-                    f"above variable {min(var_of[lo], var_of[hi])}"
-                )
-            result = self._mk(image, lo, hi)
-            memo[u] = result
-            return result
-
-        return self._wrap(rec(root))
+        return self._wrap(self._and_exists(1, root, (), mapping))
 
     def restrict(self, a: Bdd, vars: Sequence[int], values: Sequence[bool]) -> Bdd:
         """The cofactor of ``a`` with each ``vars[i]`` fixed to ``values[i]``
         (Bryant's restriction): a function of the other variables only.
 
-        One structural pass with a per-call memo: a node on a fixed
-        variable is replaced by its restricted high or low child, every
-        other node rebuilt on its restricted children, and no cube is
-        built.  The result is kept in the op cache under ``a``, ``vars``
-        and ``values`` (by value), so repeating a call is one lookup.
-        A variable listed twice raises ValueError.
+        ``exists(vars, a & cube)`` by the ``and_exists`` walk, with the
+        cube of the assignment built only when the op cache misses: the
+        result is kept there under ``a``, ``vars`` and ``values`` (by
+        value), so repeating a call is one lookup.  A variable listed twice
+        raises ValueError, and an unregistered one UnknownVar.
         """
         root = self._own(a)
         vars, values = tuple(vars), tuple(values)
@@ -677,37 +660,13 @@ class NodeStore:
         hit = self._cache.get(key)
         if hit is not None:
             return self._wrap(hit)
-        for var in vars:
-            self._check_var(var)
         # a value is read for its truth: None fixes its variable to False
         assignment = dict(zip(vars, map(bool, values)))
         if len(vars) != len(values) or len(assignment) != len(vars):
             raise ValueError("restrict needs one value per variable, each variable once")
-        result = self._restrict(root, assignment) if assignment else root
+        result = self._and_exists(root, self.cube(assignment).idx, assignment, {})
         self._cache[key] = result
         return self._wrap(result)
-
-    def _restrict(self, root: int, assignment: dict[int, bool]) -> int:
-        """The walk behind ``restrict``; ``assignment`` is nonempty."""
-        var_of, lo_of, hi_of = self._var, self._lo, self._hi
-        max_var = max(assignment)
-        memo: dict[int, int] = {}
-
-        def rec(u: int) -> int:
-            if u <= 1 or var_of[u] > max_var:
-                return u
-            hit = memo.get(u)
-            if hit is not None:
-                return hit
-            value = assignment.get(var_of[u])
-            if value is None:
-                result = self._mk(var_of[u], rec(lo_of[u]), rec(hi_of[u]))
-            else:
-                result = rec(hi_of[u] if value else lo_of[u])
-            memo[u] = result
-            return result
-
-        return rec(root)
 
     # -- queries ----------------------------------------------------------------
 

@@ -186,12 +186,13 @@ class TestExists:
 
 class TestAndExistsShift:
     """``and_exists(a, b, vars, shift=m)`` reads ``b`` through ``m``
-    instead of building ``rename(m, b)``."""
+    instead of building the substituted copy of ``b``."""
 
     def test_order_preserving_shifts_equal_rename(self):
         # random diagrams and random shifts strictly order-preserving on
         # b's support, some onto a's variables: the handle equals the
-        # two-call form, and an uncached store builds the same diagram
+        # two-call form over the substitution built with ite, and an
+        # uncached store builds the same diagram
         rng = random.Random(61)
         store, plain = fresh_store(8), fresh_store(8, op_cache=False)
         variables = list(range(8))
@@ -208,7 +209,7 @@ class TestAndExistsShift:
             shift = dict(zip(support, sorted(rng.sample(variables, len(support)))))
             qvars = {v for v in variables if rng.random() < 0.4}
             fused = store.and_exists(a, b, qvars, shift=shift)
-            assert fused == store.and_exists(a, store.rename(shift, b), qvars)
+            assert fused == store.and_exists(a, _substitute(store, shift, b), qvars)
             uncached = plain.and_exists(pa, pb, qvars, shift=shift)
             assert (store.support(fused), helpers.shape(fused)) == (
                 plain.support(uncached),
@@ -237,7 +238,7 @@ class TestAndExistsShift:
             a = helpers.random_bdd(rng, store, [0, 1, 3, 4, 6, 7])
             b = helpers.random_bdd(rng, store, b_vars)
             fused = store.and_exists(a, b, qvars, shift=shift)
-            assert fused == store.and_exists(a, store.rename(shift, b), qvars)
+            assert fused == store.and_exists(a, _substitute(store, shift, b), qvars)
 
     def test_order_violation(self):
         store = fresh_store(3)
@@ -382,6 +383,43 @@ class TestRename:
         assert min(counts.values()) >= 10, counts
 
 
+    def test_raises_where_the_shifted_and_exists_raises(self):
+        # rename is the shifted and_exists walk against True: it raises
+        # exactly where that walk does, and so checks each node's image
+        # against the images of its children's variables, not against the
+        # children it builds.  A merge of two variables can then raise
+        # where the substitution is ordered: here u renames to v5, below
+        # v1's image 3, but u's own variable 2 sits above 3.
+        store = fresh_store(6)
+        v = [store.var(i) for i in range(6)]
+        a = store.ite(v[1], store.ite(v[2], v[5], v[4]), store.false)
+        merge = {1: 3, 4: 5}
+        assert store.support(_substitute(store, merge, a)) == {3, 5}
+        with pytest.raises(OrderViolation):
+            store.rename(merge, a)
+        with pytest.raises(OrderViolation):
+            store.and_exists(store.true, a, (), shift=merge)
+        rng = random.Random(79)
+        variables = list(range(6))
+        counts = {"raised": 0, "returned": 0}
+        for _ in range(400):
+            b = _random_tree(rng, store, variables)
+            keys = rng.sample(variables, rng.randint(1, 4))
+            mapping = {var: rng.randrange(6) for var in keys}
+            results = []
+            for walk in (
+                lambda: store.rename(mapping, b),
+                lambda: store.and_exists(store.true, b, (), shift=mapping),
+            ):
+                try:
+                    results.append(walk())
+                except OrderViolation:
+                    results.append(None)
+            assert results[0] == results[1]
+            counts["raised" if results[0] is None else "returned"] += 1
+        assert min(counts.values()) >= 50, counts
+
+
 class TestRestrict:
     """``restrict(a, vars, values)`` is the cofactor of ``a``: equal to
     ``exists(vars, a & cube)`` and to ``a`` read with ``vars`` fixed."""
@@ -429,13 +467,13 @@ class TestRestrict:
 
     def test_repeat_is_one_lookup(self, monkeypatch):
         walks = []
-        walk = NodeStore._restrict
+        walk = NodeStore._and_exists
 
-        def counted(store, root, assignment):
-            walks.append(root)
-            return walk(store, root, assignment)
+        def counted(store, x, y, qvars, shift):
+            walks.append(x)
+            return walk(store, x, y, qvars, shift)
 
-        monkeypatch.setattr(NodeStore, "_restrict", counted)
+        monkeypatch.setattr(NodeStore, "_and_exists", counted)
         for op_cache in (True, False):
             walks.clear()
             store = fresh_store(4, op_cache=op_cache)

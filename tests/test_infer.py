@@ -427,19 +427,21 @@ class TestConditionByRestriction:
 
     @staticmethod
     def count_walks(monkeypatch) -> list:
+        # restriction is a walk of ``_and_exists``, which compiling also
+        # runs: count after the compile
         walks = []
-        walk = NodeStore._restrict
+        walk = NodeStore._and_exists
 
-        def counted(store, root, assignment):
-            walks.append(root)
-            return walk(store, root, assignment)
+        def counted(store, x, y, qvars, shift):
+            walks.append(x)
+            return walk(store, x, y, qvars, shift)
 
-        monkeypatch.setattr(NodeStore, "_restrict", counted)
+        monkeypatch.setattr(NodeStore, "_and_exists", counted)
         return walks
 
     def test_repeated_start_state_is_one_lookup(self, monkeypatch):
-        walks = self.count_walks(monkeypatch)
         c = compile_program(parse(READS_INPUTS))
+        walks = self.count_walks(monkeypatch)
         assert [c.program.vars[i] for i in c.reads] == ["a", "d"]
         init = state_for(c, a=True, d=True)
         target = state_for(c, a=True, b=True, c=True, d=True)
@@ -472,8 +474,8 @@ class TestConditionByRestriction:
     def test_program_reading_no_input_makes_no_walk(self, monkeypatch):
         # a grid writes every variable before reading it: phi is its own
         # cofactor on every start state
-        walks = self.count_walks(monkeypatch)
         c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
+        walks = self.count_walks(monkeypatch)
         assert c.reads == ()
         init = state_for(c, g0_0=True, g1_2=True)
         assert infer._conditioned(c, init) == c.phi
