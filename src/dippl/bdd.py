@@ -13,9 +13,10 @@ existential quantification, renaming and restriction (``restrict``: the
 cofactor on an assignment), which are runs of that one walk under its
 one order contract, are provided, plus ``wmc``: a single memoized
 bottom-up pass computing the weighted model count over an explicit
-variable universe.  A variable of the universe skipped along a path contributes
-its smoothing factor (weight-true + weight-false), and a universe
-variable weighing ``(0, 0)`` makes every count 0 without a pass.
+variable universe.  A variable of the universe skipped along a path
+contributes its smoothing factor (weight-true + weight-false), and a
+universe variable weighing ``(0, 0)`` makes every count 0 without a
+pass.
 ``wmc`` also counts a diagram conjoined with an event; when the event is
 a single literal, one top-down pass over the counted diagram gives the
 count with every literal at once (the differential approach), and no
@@ -47,7 +48,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 (
     _OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE, _OP_WMC, _OP_RESTRICT
@@ -533,10 +534,9 @@ class NodeStore:
         walk meets on a variable no deeper than the shift's deepest source
         must have its image above the images of its children's variables,
         or OrderViolation is raised at the first node where it does not.
-        So a shift strictly order-preserving on ``b``'s support never
-        raises, and the walk meets only the parts of ``b`` that meet ``a``
-        (none where ``a`` is False), so a shift that crosses elsewhere does
-        not raise.
+        A shift strictly order-preserving on ``b``'s support never raises;
+        the walk meets only the parts of ``b`` that meet ``a`` (none where
+        ``a`` is False), so a shift that crosses elsewhere does not raise.
         """
         qvars = frozenset(vars)
         for var in qvars:
@@ -548,11 +548,11 @@ class NodeStore:
             self._check_var(target)
         return self._wrap(self._and_exists(ia, ib, qvars, shift))
 
-    def _and_exists(self, x: int, y: int, qvars, shift: Mapping[int, int]) -> int:
+    def _and_exists(self, x: int, y: int, qvars: Collection[int], shift: Mapping[int, int]) -> int:
         """``and_exists`` on handles, the one walk behind ``exists`` (``y``
         True), ``rename`` (``x`` True, no ``qvars``) and ``restrict``
         (``y`` the assignment's cube, ``qvars`` its variables).  ``qvars``
-        is any container of variable ids; the caller has checked them all.
+        holds variable ids; the caller has checked every id.
         """
         if not qvars and not shift:
             return self._apply(_OP_AND, x, y)

@@ -53,15 +53,17 @@ def corpus() -> list[tuple[str, str]]:
         ("grid4-0.5-seed11", gen_grid(4, "0.5", seed=11)),
     ]
     for d in ("0", "0.5", "0.9"):
-        programs.append((f"grid6-{d}-seed{BENCHMARK_GRID_SEED}", gen_grid(6, d, seed=BENCHMARK_GRID_SEED)))
+        source = gen_grid(6, d, seed=BENCHMARK_GRID_SEED)
+        programs.append((f"grid6-{d}-seed{BENCHMARK_GRID_SEED}", source))
     programs.append(("chain300-seed1", gen_chain(300, 1)))
     programs.append(("ladder40", gen_ladder(40)))
     rng = random.Random(2024)
-    while len(programs) < 7 + RANDOM_PROGRAMS:
+    fixed = len(programs)
+    while len(programs) < fixed + RANDOM_PROGRAMS:
         program = helpers.random_program(rng)
         source = unparse(program)
         if "observe(" in source and accepting(program, State.all_false(program.vars)):
-            programs.append((f"random-{len(programs) - 7:02d}", source))
+            programs.append((f"random-{len(programs) - fixed:02d}", source))
     return programs
 
 

@@ -382,7 +382,6 @@ class TestRename:
             counts["monotone" if monotone else "crossing"] += 1
         assert min(counts.values()) >= 10, counts
 
-
     def test_raises_where_the_shifted_and_exists_raises(self):
         # rename is the shifted and_exists walk against True: it raises
         # exactly where that walk does, and so checks each node's image
