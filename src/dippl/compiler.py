@@ -46,22 +46,22 @@ the part of ``rel1`` above ``rel2``'s variables and shares the rest of
 quadratic on chains.  A right fold rebuilds one statement per step,
 which is linear on chains, but it builds every suffix for all values of
 the variables it reads, also for values the statements before it can
-never produce, so determinism stops making compilation cheaper (4-grid,
-seed 11, determinism 0 / 0.5 / 0.9: 839 / 927 / 761 store nodes).  A
-balanced tree of steps rebuilds every left half once per level:
-O(n log n) store nodes on a chain of n statements (8,043 for chain 300),
-and 897 / 672 / 336 on those grids.  Sequences are therefore folded from
-both ends, with the cost of each step measured as it runs: a head grows
-from the left and a tail from the right, the side whose last extension
-allocated fewer store nodes (``len(store)`` before and after; ties go to
-the head) takes the next statement, and the two are joined once they
-meet.  On a chain the head's steps soon cost more than the tail's, so
-the tail does nearly all the work, and compilation is linear: 11 store
-nodes per statement (3,300 for chain 300).  On those grids it allocates
-776 / 616 / 174 store nodes, and the head takes more of the steps as
-determinism grows and the prefix gets cheap.  The rule measures only the
-last step of each side, and can lose to the balanced tree (grid 8,
-determinism 0.5, seed 7: 47,430 store nodes against 35,995).
+never produce, so it gains less from determinism (4-grid, seed 11,
+determinism 0 / 0.5 / 0.9: 668 / 527 / 250 store nodes).  A balanced
+tree of steps rebuilds every left half once per level: O(n log n) store
+nodes on a chain of n statements (7,744 for chain 300), and 810 / 534 /
+215 on those grids.  Sequences are therefore folded from both ends, with
+the cost of each step measured as it runs: a head grows from the left
+and a tail from the right, the side whose last extension allocated
+fewer store nodes (``len(store)`` before and after; ties go to the head)
+takes the next statement, and the two are joined once they meet.  On a
+chain the head's steps soon cost more than the tail's, so the tail does
+nearly all the work, and compilation is linear: 11 store nodes per
+statement (3,300 for chain 300).  On those grids it allocates 776 / 523
+/ 173 store nodes, and the head takes more of the steps as determinism
+grows and the prefix gets cheap.  The rule measures only the last step
+of each side, and can lose to the balanced tree (grid 8, determinism
+0.5, seed 7: 23,651 store nodes against 17,524).
 
 The double-primed bank exists only inside sequence composition and never
 appears in a finished formula or in the WMC universe.  The unprimed bank
@@ -70,13 +70,18 @@ restriction before they count.
 
 Variable order: each program variable owns three adjacent positions
 (unprimed, primed, double-primed), so the bank shifts used by
-sequencing are order-preserving renamings.  Triples of never-flipped
-variables come first in order of first appearance; every flip variable
-sits immediately before the triple of the variable it samples into,
-with these groups ordered by their first flip.  Flips are numbered in
-textual order: the k-th flip gets the variable ``f{k}``, weighted by its
-own theta.  This interleaving gives linear-size diagrams for
-chain-structured programs.
+sequencing are order-preserving renamings.  The order follows the
+dataflow, placing each written variable where the program computes it
+(Fujita, Fujisawa and Kawato, ICCAD 1988).  The triples of the inputs,
+the variables no statement writes (``Program.inputs``), come first in
+order of first appearance.  Every written variable follows in order of
+first appearance, its flip variables in textual order just before its
+triple.  Flips are numbered in textual order: the k-th flip gets the
+variable ``f{k}``, weighted by its own theta.  This gives linear-size
+diagrams for chain-structured programs.  On grids it keeps a variable
+that only assignments write (every sample site made deterministic)
+beside its parents: ``gen_grid(7, "0.5", seed=7)`` compiles to 3,450
+nodes, against 14,049 with every never-flipped variable leading.
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ from .oracle import State
 class VarBanks:
     """Variable-bank bookkeeping for one compiled program.
 
-    ``inputs`` holds the unprimed variable ids in the order of
+    ``inputs`` holds the unprimed variable ids of every program
+    variable, not only of ``Program.inputs``, in the order of
     ``Program.vars`` (the order of a start state's values), and ``flips``
     the flip variable ids in the textual order of the program's flips.
     ``universe`` (the primed and flip banks) is the variable set every
@@ -132,11 +138,15 @@ class VarBanks:
 
 
 def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
-    """Create a store whose global order interleaves flips with their
-    targets, and the banks with the program's weights."""
+    """Create a store in dataflow order, and the banks with the
+    program's weights.
+
+    The triples of ``program.inputs`` lead; every written variable
+    follows in order of first appearance, its flips in textual order
+    just before its triple.
+    """
     flips = program.flips
-    # textual flip indices grouped by target; groups in order of their
-    # first flip
+    # textual flip indices grouped by target
     flips_by_target: dict[str, list[int]] = {}
     for k, flip in enumerate(flips):
         flips_by_target.setdefault(flip.target, []).append(k)
@@ -152,13 +162,13 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
         primed[name] = store.add_var(name + "'")
         double_primed[name] = store.add_var(name + "''")
 
-    for name in program.vars:
-        if name not in flips_by_target:
-            add_triple(name)
-    for name, group in flips_by_target.items():
-        for k in group:
-            flip_ids[k] = store.add_var(f"f{k}")
+    for name in program.inputs:
         add_triple(name)
+    for name in program.vars:
+        if name not in unprimed:
+            for k in flips_by_target.get(name, ()):
+                flip_ids[k] = store.add_var(f"f{k}")
+            add_triple(name)
 
     universe = frozenset(primed.values()) | frozenset(flip_ids)
     # each theta is a Fraction in [0, 1], checked by ``Flip``; a program

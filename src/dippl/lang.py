@@ -29,7 +29,7 @@ Variables are declared implicitly at first mention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice, zip_longest
 from typing import Iterator, Union
@@ -262,12 +262,17 @@ class Program:
     ``vars`` lists every program variable exactly once, in order of first
     textual appearance; ``flips`` lists the flip statements in textual
     order, one entry per occurrence, so a reused ``Flip`` node appears
-    once for each of its draws.
+    once for each of its draws.  ``inputs`` lists the variables no
+    statement writes (by ``:=`` or ``~``), in the order of ``vars``.
+    ``from_stmt`` records them; a hand-built ``Program`` that leaves them
+    out compiles to the same answers in a different variable order.  The
+    repr leaves them out.
     """
 
     body: Stmt
     vars: tuple[str, ...]
     flips: tuple[Flip, ...]
+    inputs: tuple[str, ...] = field(default=(), repr=False)
 
     @property
     def flip_count(self) -> int:
@@ -276,6 +281,7 @@ class Program:
     @classmethod
     def from_stmt(cls, body: Stmt) -> "Program":
         seen: dict[str, None] = {}
+        written: set[str] = set()
         flips: list[Flip] = []
         for node in body.walk():
             kind = type(node)
@@ -283,10 +289,13 @@ class Program:
                 seen.setdefault(node.name)
             elif kind is Assign:
                 seen.setdefault(node.target)
+                written.add(node.target)
             elif kind is Flip:
                 seen.setdefault(node.target)
+                written.add(node.target)
                 flips.append(node)
-        return cls(body=body, vars=tuple(seen), flips=tuple(flips))
+        inputs = tuple([name for name in seen if name not in written])
+        return cls(body=body, vars=tuple(seen), flips=tuple(flips), inputs=inputs)
 
 
 # ---------------------------------------------------------------------------

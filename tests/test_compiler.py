@@ -67,11 +67,24 @@ class TestVariableOrder:
             "f3", "f4", "z", "z'", "z''",
         ]
 
-    def test_unflipped_variables_lead(self):
+    def test_inputs_lead(self):
         program = parse("y ~ flip(1/2); observe(x || y)")
         store, banks = allocate_banks(program)
         names = [store.var_name(v) for v in range(store.num_vars)]
         assert names == ["x", "x'", "x''", "y", "y'", "y''"][0:3] + ["f0", "y", "y'", "y''"]
+
+    def test_written_variables_follow_in_program_order(self):
+        # c is written but never flipped, so it stays where the program
+        # computes it, after b's flip and triple
+        store, banks = allocate_banks(parse("a := true; b ~ flip(1/2); c := a && b"))
+        names = [store.var_name(v) for v in range(store.num_vars)]
+        assert names == ["a", "a'", "a''", "f0", "b", "b'", "b''", "c", "c'", "c''"]
+
+    def test_grid_size_under_dataflow_order(self):
+        # six variables here are written by assignments alone; moved to
+        # the top of the order, away from their parents, they give 14,049
+        compiled = compile_program(parse(gen_grid(7, "0.5", seed=7)))
+        assert compiled.stats.node_count <= 3450
 
     def test_triples_are_adjacent(self):
         store, banks = allocate_banks(parse(FIG_CHAIN))
@@ -82,7 +95,7 @@ class TestVariableOrder:
 
     def test_inputs_follow_program_vars(self):
         # the unprimed ids in the order of a start state's values; here the
-        # unflipped x leads the store order, but y comes first in vars
+        # input x leads the store order, but y comes first in vars
         program = parse("y ~ flip(1/2); observe(x || y)")
         store, banks = allocate_banks(program)
         assert program.vars == ("y", "x")

@@ -64,6 +64,13 @@ class TestParse:
         )
         assert program.vars == ("x", "y")
 
+    def test_inputs_are_the_unwritten_variables(self):
+        # y is written in one branch only and z after it is read; neither
+        # is an input
+        program = parse("if x { y := z } else { skip }; z ~ flip(1/2); observe(y || w)")
+        assert program.vars == ("x", "y", "z", "w")
+        assert program.inputs == ("x", "w")
+
     def test_theta_literal_forms(self):
         assert parse("a ~ flip(0.6)").body.theta == Fraction(3, 5)
         assert parse("a ~ flip(1/4)").body.theta == Fraction(1, 4)
