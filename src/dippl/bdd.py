@@ -266,15 +266,20 @@ class NodeStore:
     """Shared node table for one family of BDDs."""
 
     def __init__(self, names: Iterable[str] = (), *, op_cache: bool = True):
+        """A store whose variables are ``names``, in order (ids 0, 1, ...).
+
+        All of them are registered at once, and the recursion limit is
+        raised once, as ``add_var`` raises it for one more variable.
+        """
         # handles 0/1 are the False/True terminals
         self._var: list[int] = [_TERMINAL_VAR, _TERMINAL_VAR]
         self._lo: list[int] = [0, 1]
         self._hi: list[int] = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict = {} if op_cache else _NoCache()
-        self._names: list[str] = []
-        for name in names:
-            self.add_var(name)
+        self._names: list[str] = list(names)
+        if self._names:
+            self._fit_recursion_limit()
 
     # -- variables ----------------------------------------------------------
 
@@ -282,10 +287,15 @@ class NodeStore:
         """Register the next variable in the global order; returns its id."""
         var = len(self._names)
         self._names.append(name if name is not None else f"v{var}")
+        self._fit_recursion_limit()
+        return var
+
+    def _fit_recursion_limit(self):
+        """The recursive walks descend one frame per variable level:
+        raise the limit to at least ``3000 + 8 * num_vars``."""
         limit = 3000 + 8 * len(self._names)
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
-        return var
 
     @property
     def num_vars(self) -> int:
@@ -553,64 +563,37 @@ class NodeStore:
         True), ``rename`` (``x`` True, no ``qvars``) and ``restrict``
         (``y`` the assignment's cube, ``qvars`` its variables).  ``qvars``
         holds variable ids; the caller has checked every id.
+
+        The walk's state is bound once per call, into one tuple that
+        ``_walk`` takes down the recursion, so a call on a tiny diagram
+        pays for little beyond the pairs it visits.  One memo table per
+        call holds both the results, keyed ``x * stride + y`` (at least
+        ``stride``, the store's size at the call), and the image of each
+        node of ``y`` the walk has checked, keyed by the node (below
+        ``stride``).
         """
         if not qvars and not shift:
             return self._apply(_OP_AND, x, y)
-        var_of, lo_of, hi_of = self._var, self._lo, self._hi
-        mk, apply_, image = self._mk, self._apply, shift.get
-        max_q = max(qvars) if qvars else -1
-        # below ``max_d`` no variable of ``y`` is renamed
-        max_d = max(shift) if shift else -1
-        # the walk meets only nodes of ``x`` and ``y``, all older than the
-        # call, so ``x * stride + y`` keys each pair
-        stride = len(var_of)
-        memo: dict[int, int] = {}
-        # the image of each node of ``y`` on a variable up to ``max_d`` the
-        # walk has met, recorded once its children are checked to sit
-        # below it
-        images: dict[int, int] = {}
-
-        def rec(x: int, y: int) -> int:
-            # neither operand is False: the caller checks, which saves a
-            # call on every edge to False
-            var_x, var_y = var_of[x], var_of[y]
-            if var_y > max_d and (var_x if var_x < var_y else var_y) > max_q:
-                return apply_(_OP_AND, x, y)
-            key = x * stride + y
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if var_y <= max_d:
-                seen = images.get(y)
-                if seen is None:
-                    seen = image(var_y, var_y)
-                    for child in (lo_of[y], hi_of[y]):
-                        below = var_of[child]
-                        if below <= max_d:
-                            below = image(below, below)
-                        if below <= seen:
-                            raise OrderViolation(
-                                f"renaming is not order-preserving: {var_y} -> {seen} "
-                                f"above variable {below}"
-                            )
-                    images[y] = seen
-                var_y = seen
-            top = var_x if var_x < var_y else var_y
-            if var_x == top:
-                x_lo, x_hi = lo_of[x], hi_of[x]
-            else:
-                x_lo = x_hi = x
-            if var_y == top:
-                y_lo, y_hi = lo_of[y], hi_of[y]
-            else:
-                y_lo = y_hi = y
-            lo = rec(x_lo, y_lo) if x_lo and y_lo else 0
-            hi = rec(x_hi, y_hi) if x_hi and y_hi else 0
-            result = apply_(_OP_OR, lo, hi) if top in qvars else mk(top, lo, hi)
-            memo[key] = result
-            return result
-
-        return rec(x, y) if x and y else 0
+        if not (x and y):
+            return 0
+        var_of = self._var
+        state = (
+            var_of,
+            self._lo,
+            self._hi,
+            self._mk,
+            self._apply,
+            shift.get,
+            qvars,
+            max(qvars) if qvars else -1,
+            # below ``max_d`` no variable of ``y`` is renamed
+            max(shift) if shift else -1,
+            # the walk meets only nodes of ``x`` and ``y``, all older than
+            # the call
+            len(var_of),
+            {},
+        )
+        return _walk(x, y, state)
 
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._var[u] for u in self._nodes(self._own(a)))
@@ -874,3 +857,49 @@ class NodeStore:
             lines.append(f"  n{u} -> n{self._hi[u]} [style=solid];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _walk(x: int, y: int, state: tuple) -> int:
+    """The recursion of ``NodeStore._and_exists`` on the pair ``(x, y)``,
+    neither of them False (the caller checks, which saves a call on every
+    edge to False).  A node of ``y`` on a variable up to ``max_d`` is read
+    through the shift once its children are checked to sit below its
+    image; OrderViolation is raised at the first node where they do not.
+    """
+    var_of, lo_of, hi_of, mk, apply_, image, qvars, max_q, max_d, stride, memo = state
+    var_x, var_y = var_of[x], var_of[y]
+    if var_y > max_d and (var_x if var_x < var_y else var_y) > max_q:
+        return apply_(_OP_AND, x, y)
+    key = x * stride + y
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if var_y <= max_d:
+        seen = memo.get(y)
+        if seen is None:
+            seen = image(var_y, var_y)
+            for child in (lo_of[y], hi_of[y]):
+                below = var_of[child]
+                if below <= max_d:
+                    below = image(below, below)
+                if below <= seen:
+                    raise OrderViolation(
+                        f"renaming is not order-preserving: {var_y} -> {seen} "
+                        f"above variable {below}"
+                    )
+            memo[y] = seen
+        var_y = seen
+    top = var_x if var_x < var_y else var_y
+    if var_x == top:
+        x_lo, x_hi = lo_of[x], hi_of[x]
+    else:
+        x_lo = x_hi = x
+    if var_y == top:
+        y_lo, y_hi = lo_of[y], hi_of[y]
+    else:
+        y_lo = y_hi = y
+    lo = _walk(x_lo, y_lo, state) if x_lo and y_lo else 0
+    hi = _walk(x_hi, y_hi, state) if x_hi and y_hi else 0
+    result = apply_(_OP_OR, lo, hi) if top in qvars else mk(top, lo, hi)
+    memo[key] = result
+    return result

@@ -31,7 +31,11 @@ and ``e`` for the input-bank compilation of an expression:
   primed and its primed variables of ``Q`` to double-primed, while
   quantifying the primed ``Q`` (one ``and_exists``, which never builds
   the shifted copy of ``rel2``), then rename the double-primed ``Q``
-  back to primed when ``Q`` is not empty; mod ``M1 | M2``.
+  back to primed when ``Q`` is not empty; mod ``M1 | M2``.  The shift
+  names only the variables of ``M1`` that ``rel2`` can mention: those
+  ``s2``'s expressions read (each part carries that set beside ``mod``)
+  and those of ``M2``, whose unprimed copies an ``if`` branch's frame
+  reads.
 
 The relation ``phi`` of a whole statement is ``rel & gamma(V - mod)``,
 ``V`` all program variables.  It is the relation of the frame-carrying
@@ -63,6 +67,16 @@ grows and the prefix gets cheap.  The rule measures only the last step
 of each side, and can lose to the balanced tree (grid 8, determinism
 0.5, seed 7: 23,651 store nodes against 17,524).
 
+Atoms compile on handles: expressions, literals, flips (``f`` above
+``x'``, so ``x' <=> f`` is three nodes built bottom-up), frames and
+``if``s are built with the store's node operations (``_mk``, ``_apply``,
+``_not``, ``_ite``), which check nothing and wrap nothing.  The banks'
+ids are checked once per ``compile_stmt`` instead: the largest must be
+registered in the store, or UnknownVar is raised.  Each sequencing join
+is one public ``and_exists`` call (and one ``rename`` when both sides
+write a variable), which checks its own operands, so a benchmark that
+wraps the public methods sees one step per join.
+
 The double-primed bank exists only inside sequence composition and never
 appears in a finished formula or in the WMC universe.  The unprimed bank
 appears in ``phi`` but not in the universe: queries fix it by
@@ -91,7 +105,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping
 
-from .bdd import Bdd, NodeStore, WeightFn
+from .bdd import _OP_AND, _OP_IFF, _OP_NOT, _OP_OR, Bdd, NodeStore, UnknownVar, WeightFn
 from .lang import (
     And,
     Assign,
@@ -143,7 +157,8 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
 
     The triples of ``program.inputs`` lead; every written variable
     follows in order of first appearance, its flips in textual order
-    just before its triple.
+    just before its triple.  The names are listed first and the store is
+    built on them in one call.
     """
     flips = program.flips
     # textual flip indices grouped by target
@@ -151,24 +166,28 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     for k, flip in enumerate(flips):
         flips_by_target.setdefault(flip.target, []).append(k)
 
-    store = NodeStore()
+    names: list[str] = []
     unprimed: dict[str, int] = {}
     primed: dict[str, int] = {}
     double_primed: dict[str, int] = {}
     flip_ids = [0] * len(flips)
 
     def add_triple(name: str):
-        unprimed[name] = store.add_var(name)
-        primed[name] = store.add_var(name + "'")
-        double_primed[name] = store.add_var(name + "''")
+        var = len(names)
+        unprimed[name] = var
+        primed[name] = var + 1
+        double_primed[name] = var + 2
+        names.extend((name, name + "'", name + "''"))
 
     for name in program.inputs:
         add_triple(name)
     for name in program.vars:
         if name not in unprimed:
             for k in flips_by_target.get(name, ()):
-                flip_ids[k] = store.add_var(f"f{k}")
+                flip_ids[k] = len(names)
+                names.append(f"f{k}")
             add_triple(name)
+    store = NodeStore(names)
 
     universe = frozenset(primed.values()) | frozenset(flip_ids)
     # each theta is a Fraction in [0, 1], checked by ``Flip``; a program
@@ -189,58 +208,74 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     return store, banks
 
 
-_BINARY_OPS = {And: "and", Or: "or"}
+_BINARY_OPS = {And: _OP_AND, Or: _OP_OR}
 
 
-def compile_expr(e: Expr, bank: Mapping[str, int], store: NodeStore) -> Bdd:
-    """Expression as a BDD over one variable bank (name -> variable id),
-    e.g. ``banks.unprimed`` for the input state.
+def _expr(e: Expr, bank: Mapping[str, int], store: NodeStore, reads: set) -> int:
+    """Handle of expression ``e`` over one variable bank (name -> variable
+    id), built with the store's own node operations; the caller has
+    checked the bank's ids against the store.  The name of every variable
+    ``e`` reads goes into ``reads``.
 
     Operands are compiled left to right with an explicit stack, since
     operator chains nest as deep as they are long.
     """
-    built: list[Bdd] = []
-    # an operator's name ("not", "and", "or") sits on the stack below its
-    # operands and is applied to the last entries of ``built`` once they
-    # are done
+    mk, apply_ = store._mk, store._apply
+    built: list[int] = []
+    # an operator's code (``_OP_NOT``, ``_OP_AND``, ``_OP_OR``) sits on
+    # the stack below its operands and is applied to the last entries of
+    # ``built`` once they are done
     stack: list = [e]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is VarRef:
-            var = bank.get(node.name)
+            name = node.name
+            var = bank.get(name)
             if var is None:
-                raise UnknownVariable(node.name)
-            built.append(store.var(var))
-        elif kind is str:
-            if node == "not":
-                built.append(store.not_(built.pop()))
+                raise UnknownVariable(name)
+            reads.add(name)
+            built.append(mk(var, 0, 1))
+        elif kind is int:
+            if node == _OP_NOT:
+                built.append(store._not(built.pop()))
             else:
                 rhs = built.pop()
-                built.append(store.apply(node, built.pop(), rhs))
+                built.append(apply_(node, built.pop(), rhs))
         elif kind is Not:
-            stack += ("not", node.inner)
+            stack += (_OP_NOT, node.inner)
         elif kind is And or kind is Or:
             stack += (_BINARY_OPS[kind], node.rhs, node.lhs)
         elif kind is Const:
-            built.append(store.constant(node.value))
+            built.append(1 if node.value else 0)
         else:
             raise TypeError(f"not an expression: {node!r}")
     return built[0]
 
 
-def _frame(banks: VarBanks, store: NodeStore, names: Iterable[str]) -> Bdd:
-    """Frame formula: unprimed equals primed for every variable of ``names``.
+def compile_expr(e: Expr, bank: Mapping[str, int], store: NodeStore) -> Bdd:
+    """Expression as a BDD over one variable bank (name -> variable id)
+    of ``store``, e.g. ``banks.unprimed`` for the input state."""
+    return store._wrap(_expr(e, bank, store, set()))
+
+
+def _frame(banks: VarBanks, store: NodeStore, names: Iterable[str]) -> int:
+    """Handle of the frame formula: unprimed equals primed for every
+    variable of ``names``.
 
     Each variable's (unprimed, primed) pair is adjacent in the global
-    order, so the whole conjunction is built in one bottom-up pass.
+    order, so the whole conjunction is built bottom-up in one pass.
     """
-    return store.iff_cube({banks.unprimed[x]: banks.primed[x] for x in names})
+    unprimed, primed, mk = banks.unprimed, banks.primed, store._mk
+    acc = 1
+    for u, p in sorted([(unprimed[x], primed[x]) for x in names], reverse=True):
+        acc = mk(u, mk(p, acc, 0), mk(p, 0, acc))
+    return acc
 
 
 def gamma(banks: VarBanks, store: NodeStore, exclude: AbstractSet[str] = frozenset()) -> Bdd:
     """Frame formula over every program variable not in ``exclude``."""
-    return _frame(banks, store, (x for x in banks.unprimed if x not in exclude))
+    return store._wrap(_frame(banks, store, (x for x in banks.unprimed if x not in exclude)))
 
 
 def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> Bdd:
@@ -252,52 +287,75 @@ def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> 
     return store.cube(literals)
 
 
+# a statement's part of a sequence: its relation's handle, the variables
+# it may write (``mod``) and those its expressions read
+_Part = tuple[int, set, set]
+
+
 def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
     """Compile one statement to its relation BDD.
 
     The relation is the frame-free ``rel`` of ``stmt`` conjoined once
     with ``gamma`` over the variables ``stmt`` does not write.  ``stmt``
     must have the flips ``banks`` was allocated for (its program's
-    ``Program.flips``); a ValueError reports a mismatch.  A statement that reads or writes a variable
-    outside the banks raises UnknownVariable.
+    ``Program.flips``); a ValueError reports a mismatch.  A statement
+    that reads or writes a variable outside the banks raises
+    UnknownVariable, and banks with an id the store has not registered
+    raise UnknownVar before anything is built.
     """
+    top = max(
+        max(banks.unprimed.values(), default=-1),
+        max(banks.primed.values(), default=-1),
+        max(banks.double_primed.values(), default=-1),
+        max(banks.flips, default=-1),
+    )
+    if top >= store.num_vars:
+        raise UnknownVar(f"variable id {top!r} is not registered")
+    unprimed, primed = banks.unprimed, banks.primed
+    mk, apply_ = store._mk, store._apply
     # ``rec`` visits a then branch before its else branch and a
     # sequence's atoms in order, so it meets the flips in textual order,
     # the order of ``Program.flips`` and so of ``banks.flips``
     flip_ids = iter(banks.flips)
 
-    def rec(s: Stmt) -> tuple[Bdd, set[str]]:
+    def rec(s: Stmt) -> _Part:
         if isinstance(s, Skip):
-            return store.true, set()
-        if isinstance(s, (Assign, Flip)) and s.target not in banks.primed:
-            raise UnknownVariable(s.target)
-        if isinstance(s, Flip):
-            f = next(flip_ids, None)
-            if f is None:
-                raise ValueError("statement has more flips than its variable banks")
-            return store.iff_cube({f: banks.primed[s.target]}), {s.target}
-        if isinstance(s, Assign):
-            target = banks.primed[s.target]
-            if isinstance(s.rhs, Const):
-                rel = store.cube({target: s.rhs.value})
+            return 1, set(), set()
+        if isinstance(s, (Assign, Flip)):
+            target = primed.get(s.target)
+            if target is None:
+                raise UnknownVariable(s.target)
+            if isinstance(s, Flip):
+                f = next(flip_ids, None)
+                if f is None:
+                    raise ValueError("statement has more flips than its variable banks")
+                # ``allocate_banks`` puts each flip above its target
+                return mk(f, mk(target, 1, 0), mk(target, 0, 1)), {s.target}, set()
+            rhs, reads = s.rhs, set()
+            if isinstance(rhs, Const):
+                rel = mk(target, 0, 1) if rhs.value else mk(target, 1, 0)
             else:
-                rhs = compile_expr(s.rhs, banks.unprimed, store)
-                rel = store.apply("iff", store.var(target), rhs)
-            return rel, {s.target}
+                value = _expr(rhs, unprimed, store, reads)
+                rel = apply_(_OP_IFF, mk(target, 0, 1), value)
+            return rel, {s.target}, reads
         if isinstance(s, Observe):
-            return compile_expr(s.cond, banks.unprimed, store), set()
+            reads = set()
+            return _expr(s.cond, unprimed, store, reads), set(), reads
         if isinstance(s, If):
-            cond = compile_expr(s.cond, banks.unprimed, store)
-            rel1, mod1 = rec(s.then_branch)
-            rel2, mod2 = rec(s.else_branch)
+            reads = set()
+            cond = _expr(s.cond, unprimed, store, reads)
+            rel1, mod1, reads1 = rec(s.then_branch)
+            rel2, mod2, reads2 = rec(s.else_branch)
             mod = mod1 | mod2
             # each branch leaves the variables only the other one writes
-            # unchanged
-            if mod - mod1:
-                rel1 = rel1 & _frame(banks, store, mod - mod1)
-            if mod - mod2:
-                rel2 = rel2 & _frame(banks, store, mod - mod2)
-            return store.ite(cond, rel1, rel2), mod
+            # unchanged; those frames read unprimed variables of ``mod``
+            if len(mod1) < len(mod):
+                rel1 = apply_(_OP_AND, rel1, _frame(banks, store, mod - mod1))
+            if len(mod2) < len(mod):
+                rel2 = apply_(_OP_AND, rel2, _frame(banks, store, mod - mod2))
+            reads |= reads1
+            reads |= reads2
+            return store._ite(cond, rel1, rel2), mod, reads
         if isinstance(s, Seq):
             # composition is associative; fold from both ends, extending
             # the side whose last step allocated fewer store nodes (see
@@ -319,40 +377,46 @@ def compile_stmt(stmt: Stmt, banks: VarBanks, store: NodeStore) -> Bdd:
             return _compose(head, tail, banks, store) if len(parts) > 1 else head
         raise TypeError(f"not a statement: {s!r}")
 
-    rel, mod = rec(stmt)
+    rel, mod, _ = rec(stmt)
     if next(flip_ids, None) is not None:
         raise ValueError("statement has fewer flips than its variable banks")
-    return rel & gamma(banks, store, exclude=mod)
+    return store._wrap(apply_(_OP_AND, rel, gamma(banks, store, exclude=mod).idx))
 
 
-def _compose(
-    first: tuple[Bdd, set[str]],
-    second: tuple[Bdd, set[str]],
-    banks: VarBanks,
-    store: NodeStore,
-) -> tuple[Bdd, set[str]]:
-    """``(rel, mod)`` of ``s1; s2`` from those of ``s1`` and ``s2``.
+def _compose(first: _Part, second: _Part, banks: VarBanks, store: NodeStore) -> _Part:
+    """The part of ``s1; s2`` from those of ``s1`` and ``s2``.
 
     ``s2`` reads what ``s1`` writes from the primed bank.  Only the
-    variables both write have an intermediate value to quantify; ``s2``'s
-    output for them waits on the double-primed bank meanwhile.  The
-    larger of the two mod sets is updated in place and returned, so
-    neither argument may be used again.
+    variables of ``mod1`` that ``rel2`` can mention are shifted: those
+    ``s2`` reads, and those it writes (an ``if`` branch's frame reads
+    them).  Only the variables both write have an intermediate value to
+    quantify; ``s2``'s output for them waits on the double-primed bank
+    meanwhile.  The join is one public ``and_exists``, and one public
+    ``rename`` when both write a variable.  The larger of each pair of
+    sets is updated in place and returned, so neither argument may be
+    used again.
     """
-    rel1, mod1 = first
-    rel2, mod2 = second
+    rel1, mod1, reads1 = first
+    rel2, mod2, reads2 = second
+    unprimed, primed, double_primed = banks.unprimed, banks.primed, banks.double_primed
     both = mod1 & mod2
-    shift = {banks.unprimed[x]: banks.primed[x] for x in mod1}
-    shift.update({banks.primed[x]: banks.double_primed[x] for x in both})
-    rel = store.and_exists(rel1, rel2, [banks.primed[x] for x in both], shift=shift)
+    shift = {unprimed[x]: primed[x] for x in mod1 & reads2}
+    for x in both:
+        shift[unprimed[x]] = primed[x]
+        shift[primed[x]] = double_primed[x]
+    wrap = store._wrap
+    rel = store.and_exists(wrap(rel1), wrap(rel2), [primed[x] for x in both], shift=shift)
     if both:
-        rel = store.rename({banks.double_primed[x]: banks.primed[x] for x in both}, rel)
+        rel = store.rename({double_primed[x]: primed[x] for x in both}, rel)
     # the smaller set joins the larger in place: a one-sided fold would
     # copy its long side at every step
     if len(mod1) < len(mod2):
         mod1, mod2 = mod2, mod1
     mod1 |= mod2
-    return rel, mod1
+    if len(reads1) < len(reads2):
+        reads1, reads2 = reads2, reads1
+    reads1 |= reads2
+    return rel.idx, mod1, reads1
 
 
 @dataclass(frozen=True)
@@ -367,13 +431,15 @@ class CompiledProgram:
     """A program's relation BDD and variable bookkeeping (weights
     included, see ``VarBanks``).  ``reads`` holds the positions in
     ``program.vars`` (and ``banks.inputs``) of the input variables
-    ``phi`` reads, in that order; a query fixes those alone."""
+    ``phi`` reads, in that order, and ``read_ids`` their unprimed
+    variable ids; a query fixes those alone."""
 
     phi: Bdd
     banks: VarBanks
     program: Program
     stats: CompileStats
     reads: tuple[int, ...]
+    read_ids: tuple[int, ...]
 
     @property
     def store(self) -> NodeStore:
@@ -391,5 +457,6 @@ def compile_program(program: Program) -> CompiledProgram:
     var_of = store._var
     support = {var_of[u] for u in nodes}
     reads = tuple([i for i, var in enumerate(banks.inputs) if var in support])
+    read_ids = tuple([banks.inputs[i] for i in reads])
     stats = CompileStats(node_count=len(nodes), store_nodes=len(store), compile_ms=elapsed_ms)
-    return CompiledProgram(phi, banks, program, stats, reads)
+    return CompiledProgram(phi, banks, program, stats, reads, read_ids)

@@ -129,9 +129,10 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     """``phi|s``: the cofactor of the relation with the input bank fixed to
     ``from_state`` (all-false when missing), which must bind each program
     variable exactly once (ValueError otherwise).  Only the inputs ``phi``
-    reads (``compiled.reads``) are fixed, and ``phi`` is its own cofactor
-    when it reads none.  The store keeps the cofactor per value of those
-    inputs, so a repeated start state is one lookup."""
+    reads (``compiled.reads``, with their ids in ``compiled.read_ids``)
+    are fixed, and ``phi`` is its own cofactor when it reads none.  The
+    store keeps the cofactor per value of those inputs, so a repeated
+    start state is one lookup."""
     vars = compiled.program.vars
     if from_state is None:
         values = (False,) * len(vars)
@@ -140,10 +141,7 @@ def _conditioned(compiled: CompiledProgram, from_state: Optional[State]) -> Bdd:
     reads = compiled.reads
     if not reads:
         return compiled.phi
-    inputs = compiled.banks.inputs
-    return compiled.store.restrict(
-        compiled.phi, [inputs[i] for i in reads], [values[i] for i in reads]
-    )
+    return compiled.store.restrict(compiled.phi, compiled.read_ids, [values[i] for i in reads])
 
 
 def _count(compiled: CompiledProgram, conditioned: Bdd, event: Optional[Bdd] = None) -> Fraction:

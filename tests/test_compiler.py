@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from dippl.bdd import WeightFn
+from dippl import compiler
+from dippl.bdd import NodeStore, UnknownVar, WeightFn
 from dippl.compiler import (
     allocate_banks,
     compile_expr,
@@ -351,16 +353,48 @@ class TestFrameFreeCompilation:
             self.assert_matches_reference(program)
         assert {"Observe", "nested If", "Flip", "Assign", "Skip"} <= kinds
 
-    def test_long_random_sequences(self):
+    @staticmethod
+    def long_random_sequences() -> list:
         # top-level sequences of 20 to 30 statements: the two-ended fold
         # extends both ends and joins them in the middle
         rng = random.Random(59)
-        for _ in range(60):
-            program = helpers.random_program(
-                rng, max_vars=6, max_flips=12, depth=3, length=rng.randint(20, 30)
-            )
+        return [
+            helpers.random_program(rng, max_vars=6, max_flips=12, depth=3, length=rng.randint(20, 30))
+            for _ in range(60)
+        ]
+
+    def test_long_random_sequences(self):
+        for program in self.long_random_sequences():
             assert len(seq_atoms(program.body)) >= 20
             self.assert_matches_reference(program)
+
+    def test_narrow_shift_matches_the_shift_of_every_written_variable(self, monkeypatch):
+        # a step shifts only the variables of mod1 that rel2 can mention;
+        # each step is checked against the step that shifts all of mod1
+        narrow = compiler._compose
+        narrowed = []
+
+        def checked(first, second, banks, store):
+            rel1, mod1, _ = first
+            rel2, mod2, reads2 = second
+            both = mod1 & mod2
+            shift = {banks.unprimed[x]: banks.primed[x] for x in mod1}
+            shift.update({banks.primed[x]: banks.double_primed[x] for x in both})
+            wide = store._and_exists(rel1, rel2, frozenset(banks.primed[x] for x in both), shift)
+            if both:
+                back = {banks.double_primed[x]: banks.primed[x] for x in both}
+                wide = store._and_exists(1, wide, (), back)
+            # read before ``_compose`` joins the sets in place
+            narrowed.append(len(mod1 & (reads2 | mod2)) < len(mod1))
+            part = narrow(first, second, banks, store)
+            assert part[0] == wide
+            return part
+
+        monkeypatch.setattr(compiler, "_compose", checked)
+        for program in self.long_random_sequences():
+            self.assert_matches_reference(program)
+        # the corpus has steps whose shift leaves variables of mod1 out
+        assert any(narrowed)
 
     @pytest.mark.parametrize(
         "source",
@@ -438,3 +472,46 @@ def test_compile_stmt_unknown_written_variable():
     store, banks = allocate_banks(parse("x ~ flip(1/2)"))
     with pytest.raises(UnknownVariable):
         compile_stmt(parse("z ~ flip(1/2)").body, banks, store)
+
+
+class TestLeanCompilePath:
+    """Atoms compile on handles; the public store calls left are the
+    sequencing joins, and the banks' ids are checked once."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [gen_chain(1, 4), gen_chain(50, 4), gen_ladder(30), gen_grid(4, "0.5", seed=11)],
+        ids=["chain1", "chain50", "ladder30", "grid4"],
+    )
+    def test_one_public_and_exists_per_join(self, source, monkeypatch):
+        # an n-atom top-level sequence whose atoms hold no sequence is
+        # n - 1 joins, each one public and_exists call
+        program = parse(source)
+        calls = []
+        and_exists = NodeStore.and_exists
+
+        def counted(store, *args, **kwargs):
+            calls.append(args)
+            return and_exists(store, *args, **kwargs)
+
+        monkeypatch.setattr(NodeStore, "and_exists", counted)
+        compile_program(program)
+        assert len(calls) == len(seq_atoms(program.body)) - 1
+
+    def test_banks_of_a_larger_program_raise_unknown_var(self):
+        larger = parse(gen_chain(5, 1))
+        _, banks = allocate_banks(larger)
+        store, _ = allocate_banks(parse("x1 ~ flip(1/2)"))
+        with pytest.raises(UnknownVar):
+            compile_stmt(larger.body, banks, store)
+
+    def test_allocate_banks_raises_the_recursion_limit(self):
+        program = parse(gen_chain(400, 2))
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            store, _ = allocate_banks(program)
+            assert store.num_vars == 5 * 400 - 1
+            assert sys.getrecursionlimit() >= 3000 + 8 * store.num_vars
+        finally:
+            sys.setrecursionlimit(max(saved, sys.getrecursionlimit()))
