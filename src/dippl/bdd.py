@@ -19,8 +19,12 @@ universe variable weighing ``(0, 0)`` makes every count 0 without a
 pass.
 ``wmc`` also counts a diagram conjoined with an event; when the event is
 a single literal, one top-down pass over the counted diagram gives the
-count with every literal at once (the differential approach), and no
-conjunction is built.
+count with every literal of the literal's weight class at once (the
+differential approach), and no conjunction is built.  The classes are
+the variables that weigh exactly ``(1, 1)`` and the weighted ones.  A
+pass multiplies wide counts only where its own class needs them, so a
+``(1, 1)`` literal, such as the output-state literal of a marginal, does
+not pay for the weighted (flip) levels.
 
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
@@ -33,12 +37,13 @@ The relational-product walk uses a per-call memo table;
 ``restrict`` keeps its result in the operation cache, keyed by the root
 and the assignment by value, so a repeated restriction is one lookup.
 Weighted counting is owned by the store: the count layout of a weight
-function and universe (positions, scaled weights, prefix products), the
-table of scaled node counts computed under them and the literal counts
-of each root the top-down pass has run on live in the operation cache,
-keyed by the two by value, so every caller that counts with equal
-weights over an equal universe shares one layout and its tables, and
-``clear_op_cache`` frees them with the rest of the cache.  ``wmc`` alone
+function and universe (positions, scaled weights, weight classes, prefix
+products), the table of scaled node counts computed under them and the
+literal counts of each root and class the top-down pass has run on live
+in the operation cache, keyed by the two by value, so every caller that
+counts with equal weights over an equal universe shares one layout and
+its tables, and ``clear_op_cache`` frees them with the rest of the
+cache.  ``wmc`` alone
 decides what the table holds: a pass over a whole diagram writes its
 nodes, and a pass over a conjunction with an event never does.
 """
@@ -47,7 +52,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 (
@@ -165,32 +172,48 @@ class _CountLayout:
     products of the smoothing factors, so any interval product is one
     division; its last entry is 0 exactly when a universe variable weighs
     ``(0, 0)``, and then every count is 0 and ``NodeStore.wmc`` runs no
-    pass.  ``table`` maps the nodes of the diagrams counted whole to
-    their scaled counts, and ``literals`` maps the roots of literal
-    events to their literal counts (see ``NodeStore._literal_counts``).
+    pass.  ``unit`` gives each position's weight class: True where the
+    variable weighs exactly ``(1, 1)`` (every primed variable of a
+    compiled program), False where it is weighted (every flip, ``(1/2,
+    1/2)`` included).  ``table`` maps the nodes of the diagrams counted
+    whole to their scaled counts, and ``literals`` maps the roots of
+    literal events to one slot per class, ``[weighted, unit]``, each None
+    until a literal of that class is asked (see
+    ``NodeStore._literal_counts``).
+
+    Each distinct weight pair is scaled once: a compiled program shares
+    one pair object per theta, and every unlisted variable weighs the
+    shared ``_UNIT_WEIGHTS``.
     """
 
-    __slots__ = ("position", "size", "wt", "wf", "prefix", "scale", "table", "literals")
+    __slots__ = ("position", "size", "wt", "wf", "prefix", "scale", "unit", "table", "literals")
 
     def __init__(self, weights: WeightFn, universe: frozenset[int]):
         uni = sorted(universe)
-        self.position = {var: i for i, var in enumerate(uni)}
+        self.position = dict(zip(uni, range(len(uni))))
         self.size = len(uni)
-        self.wt: list[int] = []
-        self.wf: list[int] = []
-        self.prefix = [1]
+        pairs = list(map(weights.weight, uni))
+        # the pairs live in ``weights`` (or are ``_UNIT_WEIGHTS``) while
+        # the layout is built, so their ids tell them apart
+        keys = list(map(id, pairs))
+        uses: dict[int, int] = {}
+        for key in keys:
+            uses[key] = uses.get(key, 0) + 1
+        # by pair: the scaled weights, their sum and the class, True for
+        # (1, 1) exactly, which scales by 1 to (1, 1)
+        scaled: dict[int, tuple[int, int, int, bool]] = {}
         self.scale = 1
-        for var in uni:
-            t, f = weights.weight(var)
-            s = lcm(t.denominator, f.denominator)
-            t = t.numerator * (s // t.denominator)
-            f = f.numerator * (s // f.denominator)
-            self.wt.append(t)
-            self.wf.append(f)
-            self.scale *= s
-            self.prefix.append(self.prefix[-1] * (t + f))
+        for key, (t, f) in dict(zip(keys, pairs)).items():
+            (t, td), (f, fd) = t.as_integer_ratio(), f.as_integer_ratio()
+            s = lcm(td, fd)
+            t, f = t * (s // td), f * (s // fd)
+            scaled[key] = (t, f, t + f, t == f == s == 1)
+            self.scale *= s ** uses[key]
+        columns = tuple(zip(*map(scaled.__getitem__, keys))) or ((), (), (), ())
+        self.wt, self.wf, factors, self.unit = columns
+        self.prefix = list(accumulate(factors, mul, initial=1))
         self.table: dict[int, int] = {0: 0, 1: 1}
-        self.literals: dict[int, list[int]] = {}
+        self.literals: dict[int, list[Optional[list[int]]]] = {}
 
 
 class Bdd:
@@ -689,10 +712,12 @@ class NodeStore:
 
         - no event: the pass over ``a`` writes ``a``'s nodes into it;
         - a single literal (a node on two terminals) of a universe
-          variable: the count is read from ``a``'s literal counts, which
-          the layout keeps; the first such event on ``a`` counts ``a``
-          into the table and runs one downward pass that gives them for
-          every universe variable at once (see ``_literal_counts``);
+          variable: the count is read from ``a``'s literal counts for
+          the variable's weight class (``(1, 1)`` or weighted), which the
+          layout keeps; the first such event of a class on ``a`` counts
+          ``a`` into the table and runs one downward pass that gives them
+          for every universe variable of that class at once (see
+          ``_literal_counts``);
         - any other event: the event is conjoined with ``a`` and the
           conjunction counted by a pass that writes nothing.
 
@@ -709,9 +734,13 @@ class NodeStore:
             # a terminal's variable is in no universe
             k = layout.position.get(self._var[e]) if hi <= 1 and self._lo[e] <= 1 else None
             if k is not None:
-                counts = layout.literals.get(root)
+                unit = layout.unit[k]
+                slots = layout.literals.get(root)
+                if slots is None:
+                    slots = layout.literals[root] = [None, None]
+                counts = slots[unit]
                 if counts is None:
-                    counts = layout.literals[root] = self._literal_counts(root, layout)
+                    counts = slots[unit] = self._literal_counts(root, layout, unit)
                 return Fraction(counts[k] if hi else counts[-1] - counts[k], layout.scale)
             root = self._apply(_OP_AND, root, e)
             memo = {}
@@ -753,26 +782,35 @@ class NodeStore:
         # a (0, 0) universe variable: every model weighs 0
         return 0
 
-    def _literal_counts(self, root: int, layout: _CountLayout) -> list[int]:
+    def _literal_counts(self, root: int, layout: _CountLayout, unit: bool) -> list[int]:
         """Scaled ``wmc(root & v)`` for the universe variable ``v`` at each
-        position, then the scaled count of ``root`` itself.
+        position of weight class ``unit`` (see ``_CountLayout``), 0 at the
+        other class's positions, then the scaled count of ``root`` itself.
 
         ``root`` is first counted into the table, like any pass over a
         whole diagram.  A root that counts 0 (every root does under a
         ``(0, 0)`` universe variable) has every literal count 0; for any
         other, every smoothing factor is nonzero, and one top-down pass
         over ``root``'s nodes (Darwiche's differential pass) reads their
-        counts from the table.  A node's outside weight sums, over the
-        paths from the root to it, the weights along the path; each child
-        gets the node's outside weight times the edge's weight and span.
-        The node's variable is credited with the mass of its high edge
-        (outside weight times the child's count), and the variables an
-        edge skips with the edge's mass, through a difference array: a
-        skipped position ``k`` gets ``mass * wt[k] // (wt[k] + wf[k])``,
-        exact because every mass that skips ``k`` carries its factor.
+        counts from the table.  The nodes are visited in descending handle
+        order, parents first, since a child is always older than its
+        parent.  A node's outside weight sums, over the paths from the
+        root to it, the weights along the path; each child gets the node's
+        outside weight times the edge's weight and span, small factors
+        that every node passes on.  The products of an outside weight and
+        a child's count are the wide ones, and the pass takes them only
+        where the asked class needs them: a node of the class is credited
+        with the mass of its high edge (outside weight times the child's
+        count), and the positions of the class that an edge skips with the
+        edge's mass, through a difference array: a skipped position ``k``
+        gets ``mass * wt[k] // (wt[k] + wf[k])``, exact because every mass
+        that skips ``k`` carries its factor.
         """
         position, size = layout.position, layout.size
         wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
+        classes = layout.unit
+        # ``before[k]``: positions of the asked class before ``k``
+        before = list(accumulate(map(unit.__eq__, classes), initial=0))
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
         counts = [0] * (size + 1)
         total = counts[size] = self._count(root, layout, table)
@@ -784,8 +822,7 @@ class NodeStore:
         skipped[0] = total
         skipped[top] -= total
         outside = {root: prefix[top]}
-        nodes = sorted(self._nodes(root), key=var_of.__getitem__)
-        for u in nodes:
+        for u in sorted(self._nodes(root), reverse=True):
             weight = outside.pop(u)
             j = position[var_of[u]]
             nxt = j + 1
@@ -793,14 +830,17 @@ class NodeStore:
             if hi:
                 push = weight * wt[j]
                 jc = size if hi == 1 else position[var_of[hi]]
-                if jc == nxt:
-                    counts[j] += push * table[hi]
-                else:
+                if jc != nxt:
                     push *= prefix[jc] // prefix[nxt]
+                credit = classes[j] == unit
+                skips = before[jc] != before[nxt]
+                if credit or skips:
                     mass = push * table[hi]
-                    counts[j] += mass
-                    skipped[nxt] += mass
-                    skipped[jc] -= mass
+                    if credit:
+                        counts[j] += mass
+                    if skips:
+                        skipped[nxt] += mass
+                        skipped[jc] -= mass
                 if hi > 1:
                     outside[hi] = outside.get(hi, 0) + push
             if lo:
@@ -808,15 +848,16 @@ class NodeStore:
                 jc = size if lo == 1 else position[var_of[lo]]
                 if jc != nxt:
                     push *= prefix[jc] // prefix[nxt]
-                    mass = push * table[lo]
-                    skipped[nxt] += mass
-                    skipped[jc] -= mass
+                    if before[jc] != before[nxt]:
+                        mass = push * table[lo]
+                        skipped[nxt] += mass
+                        skipped[jc] -= mass
                 if lo > 1:
                     outside[lo] = outside.get(lo, 0) + push
         running = 0
         for k in range(size):
             running += skipped[k]
-            if running:
+            if running and classes[k] == unit:
                 counts[k] += running * wt[k] // (wt[k] + wf[k])
         return counts
 

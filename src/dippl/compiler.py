@@ -190,17 +190,17 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     store = NodeStore(names)
 
     universe = frozenset(primed.values()) | frozenset(flip_ids)
-    # each theta is a Fraction in [0, 1], checked by ``Flip``; a program
-    # has few distinct thetas, so each pair is built once, keyed by the
-    # theta's integer pair (hashing a Fraction costs more than a pair)
-    pairs: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    # each theta is a Fraction in [0, 1], checked by ``Flip``; the parser
+    # shares one Fraction per distinct ``a/b`` text, so each pair is built once
+    # per theta object, keyed by its id (the flips keep it alive), and
+    # the count layout scales each pair once
+    pairs: dict[int, tuple[Fraction, Fraction]] = {}
     entries: dict[int, tuple[Fraction, Fraction]] = {}
     for f, flip in zip(flip_ids, flips):
         theta = flip.theta
-        key = (theta.numerator, theta.denominator)
-        pair = pairs.get(key)
+        pair = pairs.get(id(theta))
         if pair is None:
-            pair = pairs[key] = (theta, 1 - theta)
+            pair = pairs[id(theta)] = (theta, 1 - theta)
         entries[f] = pair
     weights = WeightFn._trusted(entries)
     inputs = tuple(map(unprimed.__getitem__, program.vars))

@@ -755,11 +755,13 @@ class TestLiteralCounts:
     def literal(store, var, positive):
         return store.var(var) if positive else store.not_(store.var(var))
 
-    def check(self, store, plain, a, b, weights, universe):
-        """Both literals of each universe variable: ``a`` on ``store`` and
-        the same function ``b`` on the uncached ``plain``.  A count builds
-        no node and leaves ``a``'s literal counts behind."""
-        for var in universe:
+    def check(self, store, plain, a, b, weights, universe, order=None):
+        """Both literals of each universe variable, asked in ``order``
+        (the universe's by default): ``a`` on ``store`` and the same
+        function ``b`` on the uncached ``plain``.  A count builds no node
+        and leaves ``a``'s literal counts behind, in the slot of every
+        weight class the universe holds."""
+        for var in universe if order is None else order:
             for positive in (True, False):
                 plain_lit = self.literal(plain, var, positive)
                 expected = plain.wmc(b & plain_lit, weights, universe)
@@ -770,11 +772,9 @@ class TestLiteralCounts:
                 assert type(got) is Fraction
                 assert len(store) == before
                 assert got == expected == helpers.brute_force_wmc(a & lit, weights, universe)
-        assert a.idx in self.literals(store, weights, universe)
-
-    @staticmethod
-    def literals(store, weights, universe):
-        return store._count_layout(weights, universe).literals
+        layout = store._count_layout(weights, universe)
+        slots = layout.literals[a.idx]
+        assert all(slots[unit] is not None for unit in layout.unit)
 
     @staticmethod
     def skips(store, a, var):
@@ -852,6 +852,37 @@ class TestLiteralCounts:
         assert table == {0: 0, 1: 1}
         self.check(store, plain, a, b, weights, range(5))
         assert set(table) == {0, 1} | TestWmc.reachable(a)
+
+    def test_unit_and_weighted_classes_on_one_root(self):
+        # unit variables, listed (1, 1) and unlisted, beside weighted
+        # ones, theta = 1/2 among them: its pair scales to (1, 1), but it
+        # is weighted; each root is asked both classes, in both orders
+        half = (Fraction(1, 2), Fraction(1, 2))
+        rng = random.Random(29)
+        for trial in range(30):
+            shuffled = rng.sample(range(8), 8)
+            listed, weighted, unlisted = shuffled[:2], shuffled[2:5], shuffled[5:]
+            weights = WeightFn(
+                {v: (1, 1) for v in listed}
+                | {weighted[0]: half}
+                | {v: (rng.choice(self.POOL[3:]), rng.choice(self.POOL[1:])) for v in weighted[1:]}
+            )
+            # every variable but at most one unlisted one
+            dropped = rng.choice(unlisted + [None])
+            universe = [v for v in range(8) if v != dropped]
+            support = rng.sample(universe, rng.randint(2, len(universe)))
+            seed = rng.random()
+            store, plain = fresh_store(8), fresh_store(8, op_cache=False)
+            a = helpers.random_bdd(random.Random(seed), store, support)
+            b = helpers.random_bdd(random.Random(seed), plain, support)
+            layout = store._count_layout(weights, universe)
+            unit = {var: layout.unit[layout.position[var]] for var in universe}
+            assert unit[weighted[0]] is False and layout.wt[layout.position[weighted[0]]] == 1
+            assert all(unit[var] for var in universe if var not in weighted)
+            assert not any(unit[var] for var in weighted)
+            first = weighted if trial % 2 else [v for v in universe if unit[v]]
+            order = first + [v for v in universe if v not in first]
+            self.check(store, plain, a, b, weights, universe, order)
 
     def test_literal_outside_the_universe(self):
         store = fresh_store(3)

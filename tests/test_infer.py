@@ -545,13 +545,31 @@ class TestMarginals:
                     assert result.value == result.numerator / result.denominator
         assert all(seen.values()), seen
 
+    def test_chain_marginals_leave_the_weighted_slot_empty(self):
+        # a marginal asks a primed literal, which weighs (1, 1), so no
+        # literal pass credits the flips' weighted class
+        c = compile_program(parse(gen_chain(300, seed=3)))
+        store, banks = c.store, c.banks
+        last = c.program.vars[-1]
+        first = event_prob(c, None, parse_expr(last))
+        results = infer.marginals(c)
+        conditioned = infer._conditioned(c, None)
+        slots = store._count_layout(banks.weights, banks.universe).literals[conditioned.idx]
+        weighted, unit = slots
+        assert weighted is None and unit is not None
+        assert results[last].numerator == first.numerator
+        for name, result in results.items():
+            event = conditioned & store.var(banks.primed[name])
+            assert result.numerator == store.wmc(event, banks.weights, banks.universe)
+        assert slots == [None, unit]
+
     def test_second_literal_marginal_builds_nothing(self, monkeypatch):
         passes = []
         literal_counts = NodeStore._literal_counts
 
-        def counted(store, root, layout):
+        def counted(store, root, layout, unit):
             passes.append(root)
-            return literal_counts(store, root, layout)
+            return literal_counts(store, root, layout, unit)
 
         monkeypatch.setattr(NodeStore, "_literal_counts", counted)
         c = compile_program(parse(gen_grid(4, "0.5", seed=1)))
