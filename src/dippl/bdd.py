@@ -6,17 +6,21 @@ table, and an operation cache.  Nodes are reduced on construction, so
 two functions over one store are equal exactly when their handles are
 equal.
 
-Boolean combinators (``apply``, ``not_``), the relational product
-``and_exists`` (conjoin, then quantify, reading the second operand
-through an order-preserving shift instead of a renamed copy), and
-existential quantification, renaming and restriction (``restrict``: the
-cofactor on an assignment), which are runs of that one walk under its
-one order contract, are provided, plus ``wmc``: a single memoized
-bottom-up pass computing the weighted model count over an explicit
-variable universe.  A variable of the universe skipped along a path
-contributes its smoothing factor (weight-true + weight-false), and a
-universe variable weighing ``(0, 0)`` makes every count 0 without a
-pass.
+Boolean combinators (``apply``, ``not_``, ``ite``) run on two walks:
+the if-then-else walk ``_ite``, which gives negation as ``ite(a, 0, 1)``,
+``xor`` as ``ite(a, not b, b)`` and ``implies`` as ``ite(a, b, true)``
+(Brace, Rudell and Bryant, DAC 1990), and ``_apply``, which keeps the
+three symmetric operators the compiler and the quantifiers combine with:
+AND, OR and IFF.  The relational product ``and_exists`` (conjoin, then
+quantify, reading the second operand through an order-preserving shift
+instead of a renamed copy), and existential quantification, renaming and
+restriction (``restrict``: the cofactor on an assignment), which are
+runs of that one walk under its one order contract, are provided, plus
+``wmc``: a single memoized bottom-up pass computing the weighted model
+count over an explicit variable universe.  A variable of the universe
+skipped along a path contributes its smoothing factor (weight-true +
+weight-false), and a universe variable weighing ``(0, 0)`` makes every
+count 0 without a pass.
 ``wmc`` also counts a diagram conjoined with an event; when the event is
 a single literal, one top-down pass over the counted diagram gives the
 count with every literal of the literal's weight class at once (the
@@ -57,17 +61,9 @@ from math import lcm
 from operator import mul
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
-(
-    _OP_AND, _OP_OR, _OP_XOR, _OP_IFF, _OP_IMPLIES, _OP_NOT, _OP_ITE, _OP_WMC, _OP_RESTRICT
-) = range(9)
+_OP_AND, _OP_OR, _OP_IFF, _OP_ITE, _OP_WMC, _OP_RESTRICT = range(6)
 
-_OP_CODES = {
-    "and": _OP_AND,
-    "or": _OP_OR,
-    "xor": _OP_XOR,
-    "iff": _OP_IFF,
-    "implies": _OP_IMPLIES,
-}
+_OP_CODES = {"and": _OP_AND, "or": _OP_OR, "iff": _OP_IFF}
 
 # terminals sort below every real variable
 _TERMINAL_VAR = sys.maxsize
@@ -291,8 +287,8 @@ class NodeStore:
     def __init__(self, names: Iterable[str] = (), *, op_cache: bool = True):
         """A store whose variables are ``names``, in order (ids 0, 1, ...).
 
-        All of them are registered at once, and the recursion limit is
-        raised once, as ``add_var`` raises it for one more variable.
+        The recursive walks descend one frame per variable level, so the
+        recursion limit is raised to at least ``3000 + 8 * len(names)``.
         """
         # handles 0/1 are the False/True terminals
         self._var: list[int] = [_TERMINAL_VAR, _TERMINAL_VAR]
@@ -301,24 +297,11 @@ class NodeStore:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict = {} if op_cache else _NoCache()
         self._names: list[str] = list(names)
-        if self._names:
-            self._fit_recursion_limit()
-
-    # -- variables ----------------------------------------------------------
-
-    def add_var(self, name: Optional[str] = None) -> int:
-        """Register the next variable in the global order; returns its id."""
-        var = len(self._names)
-        self._names.append(name if name is not None else f"v{var}")
-        self._fit_recursion_limit()
-        return var
-
-    def _fit_recursion_limit(self):
-        """The recursive walks descend one frame per variable level:
-        raise the limit to at least ``3000 + 8 * num_vars``."""
         limit = 3000 + 8 * len(self._names)
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
+
+    # -- variables ----------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
@@ -408,10 +391,17 @@ class NodeStore:
         for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
             if cur_lo <= prev_hi:
                 raise ValueError("iff_cube constraints interleave in the variable order")
+        return self._wrap(self._iff_chain(spans))
+
+    def _iff_chain(self, spans: Sequence[tuple[int, int]]) -> int:
+        """Handle of the conjunction of ``low <=> high`` over ``spans``,
+        sorted pairs ``(low, high)`` with ``low < high`` whose spans do
+        not interleave, built bottom-up in one pass; nothing is checked."""
+        mk = self._mk
         acc = 1
         for low, high in reversed(spans):
-            acc = self._mk(low, self._mk(high, acc, 0), self._mk(high, 0, acc))
-        return self._wrap(acc)
+            acc = mk(low, mk(high, acc, 0), mk(high, 0, acc))
+        return acc
 
     def ite(self, cond: Bdd, then_case: Bdd, else_case: Bdd) -> Bdd:
         """If-then-else: ``(cond & then) | (!cond & else)`` in one pass."""
@@ -420,6 +410,9 @@ class NodeStore:
         )
 
     def _ite(self, f: int, g: int, h: int) -> int:
+        """``ite`` on handles, negation (``_ite(f, 0, 1)``) included.  The
+        low cofactor is built before the high one, so every node is
+        allocated after its low child and then its high child."""
         if f == 1:
             return g
         if f == 0:
@@ -428,8 +421,6 @@ class NodeStore:
             return g
         if g == 1 and h == 0:
             return f
-        if g == 0 and h == 1:
-            return self._not(f)
         key = (_OP_ITE, f, g, h)
         hit = self._cache.get(key)
         if hit is not None:
@@ -457,27 +448,28 @@ class NodeStore:
     # -- Boolean combinators ---------------------------------------------------
 
     def apply(self, op: str, a: Bdd, b: Bdd) -> Bdd:
-        """Pointwise Boolean combination; op in and/or/xor/iff/implies."""
+        """Pointwise Boolean combination; op in and/or/xor/iff/implies.
+
+        ``and``, ``or`` and ``iff`` run ``_apply``; ``xor`` is
+        ``ite(a, not b, b)`` and ``implies`` is ``ite(a, b, true)``.
+        """
         code = _OP_CODES.get(op)
-        if code is None:
+        if code is None and op != "xor" and op != "implies":
             raise ValueError(f"unknown operator {op!r}")
-        return self._wrap(self._apply(code, self._own(a), self._own(b)))
+        x, y = self._own(a), self._own(b)
+        if op == "xor":
+            return self._wrap(self._ite(x, self._ite(y, 0, 1), y))
+        if op == "implies":
+            return self._wrap(self._ite(x, y, 1))
+        return self._wrap(self._apply(code, x, y))
 
     def not_(self, a: Bdd) -> Bdd:
-        return self._wrap(self._not(self._own(a)))
-
-    def _not(self, a: int) -> int:
-        if a <= 1:
-            return 1 - a
-        key = (_OP_NOT, a, 0)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._mk(self._var[a], self._not(self._lo[a]), self._not(self._hi[a]))
-        self._cache[key] = result
-        return result
+        return self._wrap(self._ite(self._own(a), 0, 1))
 
     def _apply(self, op: int, a: int, b: int) -> int:
+        """AND, OR or IFF of two handles: the operators the compiler, the
+        quantifiers and the relational product combine with.  The three
+        are symmetric, so ``(a, b)`` and ``(b, a)`` share a cache entry."""
         if op == _OP_AND:
             if a == 0 or b == 0:
                 return 0
@@ -492,37 +484,14 @@ class NodeStore:
                 return b
             if b == 0 or a == b:
                 return a
-        elif op == _OP_XOR:
-            if a == b:
-                return 0
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            if a == 1:
-                return self._not(b)
-            if b == 1:
-                return self._not(a)
-        elif op == _OP_IFF:
+        else:  # iff
             if a == b:
                 return 1
             if a == 1:
                 return b
             if b == 1:
                 return a
-            if a == 0:
-                return self._not(b)
-            if b == 0:
-                return self._not(a)
-        else:  # implies
-            if a == 0 or b == 1 or a == b:
-                return 1
-            if a == 1:
-                return b
-            if b == 0:
-                return self._not(a)
-        # the four symmetric operators share cache entries
-        key = (op, b, a) if op != _OP_IMPLIES and a > b else (op, a, b)
+        key = (op, b, a) if a > b else (op, a, b)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -60,10 +60,7 @@ def _read_program(path: str) -> Program:
             source = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(source)
-    except ValueError as exc:  # a flip parameter outside [0, 1]
-        raise _UsageError(f"{path}: {exc}") from None
+    return parse(source)
 
 
 def _open_output(path: str, newline: Optional[str] = None):

@@ -70,9 +70,10 @@ of each side, and can lose to the balanced tree (grid 8, determinism
 Atoms compile on handles: expressions, literals, flips (``f`` above
 ``x'``, so ``x' <=> f`` is three nodes built bottom-up), frames and
 ``if``s are built with the store's node operations (``_mk``, ``_apply``,
-``_not``, ``_ite``), which check nothing and wrap nothing.  The banks'
-ids are checked once per ``compile_stmt`` instead: the largest must be
-registered in the store, or UnknownVar is raised.  Each sequencing join
+``_ite``, ``_iff_chain``), which check nothing and wrap nothing; a
+negation is ``_ite(e, 0, 1)``.  The banks' ids are checked once per
+``compile_stmt`` instead: the largest must be registered in the store,
+or UnknownVar is raised.  Each sequencing join
 is one public ``and_exists`` call (and one ``rename`` when both sides
 write a variable), which checks its own operands, so a benchmark that
 wraps the public methods sees one step per join.
@@ -105,7 +106,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping
 
-from .bdd import _OP_AND, _OP_IFF, _OP_NOT, _OP_OR, Bdd, NodeStore, UnknownVar, WeightFn
+from .bdd import _OP_AND, _OP_IFF, _OP_OR, Bdd, NodeStore, UnknownVar, WeightFn
 from .lang import (
     And,
     Assign,
@@ -190,17 +191,17 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
     store = NodeStore(names)
 
     universe = frozenset(primed.values()) | frozenset(flip_ids)
-    # each theta is a Fraction in [0, 1], checked by ``Flip``; the parser
-    # shares one Fraction per distinct ``a/b`` text, so each pair is built once
-    # per theta object, keyed by its id (the flips keep it alive), and
-    # the count layout scales each pair once
-    pairs: dict[int, tuple[Fraction, Fraction]] = {}
+    # each theta is a Fraction in [0, 1], checked by ``Flip``; equal
+    # thetas share one pair, keyed by value, so the count layout scales
+    # each distinct theta once
+    pairs: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     entries: dict[int, tuple[Fraction, Fraction]] = {}
     for f, flip in zip(flip_ids, flips):
         theta = flip.theta
-        pair = pairs.get(id(theta))
+        key = theta.as_integer_ratio()
+        pair = pairs.get(key)
         if pair is None:
-            pair = pairs[id(theta)] = (theta, 1 - theta)
+            pair = pairs[key] = (theta, 1 - theta)
         entries[f] = pair
     weights = WeightFn._trusted(entries)
     inputs = tuple(map(unprimed.__getitem__, program.vars))
@@ -220,11 +221,11 @@ def _expr(e: Expr, bank: Mapping[str, int], store: NodeStore, reads: set) -> int
     Operands are compiled left to right with an explicit stack, since
     operator chains nest as deep as they are long.
     """
-    mk, apply_ = store._mk, store._apply
+    mk, apply_, ite = store._mk, store._apply, store._ite
     built: list[int] = []
-    # an operator's code (``_OP_NOT``, ``_OP_AND``, ``_OP_OR``) sits on
-    # the stack below its operands and is applied to the last entries of
-    # ``built`` once they are done
+    # a binary operator's code (``_OP_AND``, ``_OP_OR``), or None for a
+    # negation, sits on the stack below its operands and is applied to
+    # the last entries of ``built`` once they are done
     stack: list = [e]
     while stack:
         node = stack.pop()
@@ -237,13 +238,12 @@ def _expr(e: Expr, bank: Mapping[str, int], store: NodeStore, reads: set) -> int
             reads.add(name)
             built.append(mk(var, 0, 1))
         elif kind is int:
-            if node == _OP_NOT:
-                built.append(store._not(built.pop()))
-            else:
-                rhs = built.pop()
-                built.append(apply_(node, built.pop(), rhs))
+            rhs = built.pop()
+            built.append(apply_(node, built.pop(), rhs))
+        elif node is None:
+            built.append(ite(built.pop(), 0, 1))
         elif kind is Not:
-            stack += (_OP_NOT, node.inner)
+            stack += (None, node.inner)
         elif kind is And or kind is Or:
             stack += (_BINARY_OPS[kind], node.rhs, node.lhs)
         elif kind is Const:
@@ -264,13 +264,11 @@ def _frame(banks: VarBanks, store: NodeStore, names: Iterable[str]) -> int:
     variable of ``names``.
 
     Each variable's (unprimed, primed) pair is adjacent in the global
-    order, so the whole conjunction is built bottom-up in one pass.
+    order, so the store builds the whole conjunction bottom-up in one
+    pass (``_iff_chain``, as for ``iff_cube``).
     """
-    unprimed, primed, mk = banks.unprimed, banks.primed, store._mk
-    acc = 1
-    for u, p in sorted([(unprimed[x], primed[x]) for x in names], reverse=True):
-        acc = mk(u, mk(p, acc, 0), mk(p, 0, acc))
-    return acc
+    unprimed, primed = banks.unprimed, banks.primed
+    return store._iff_chain(sorted([(unprimed[x], primed[x]) for x in names]))
 
 
 def gamma(banks: VarBanks, store: NodeStore, exclude: AbstractSet[str] = frozenset()) -> Bdd:

@@ -389,6 +389,7 @@ def _stmt_at(source: str, texts: list[str], kinds: list[str]) -> tuple[Stmt, int
                 if kinds[i + 3] != "(":
                     raise _expected(source, texts, i + 3, "(")
                 i += 4
+                number = i
                 kind = kinds[i]  # number := decimal | integer "/" integer
                 if kind == "int" and kinds[i + 1] == "/":
                     key = texts[i], texts[i + 2]
@@ -410,7 +411,10 @@ def _stmt_at(source: str, texts: list[str], kinds: list[str]) -> tuple[Stmt, int
                 if kinds[i + 1] != ")":
                     raise _expected(source, texts, i + 1, ")")
                 i += 2
-                atoms.append(Flip(name, theta))
+                try:
+                    atoms.append(Flip(name, theta))
+                except ValueError as exc:  # theta outside [0, 1]
+                    raise _error(source, number, str(exc)) from None
             else:
                 raise _error(source, i + 1, "expected ':=' or '~' after identifier")
         elif kind == "skip":
@@ -512,8 +516,8 @@ def _expr_at(source: str, texts: list[str], kinds: list[str], i: int) -> tuple[E
 def parse(source: str) -> Program:
     """Parse dippl source text into a Program.
 
-    Raises ParseError (with line/column) on malformed input and ValueError
-    when a flip parameter lies outside [0, 1].
+    Raises ParseError (with line/column) on malformed input, a flip
+    parameter outside [0, 1] included.
     """
     texts, kinds = _scan(source)
     body, i = _stmt_at(source, texts, kinds)

@@ -154,9 +154,13 @@ class _Parser:
                 self.advance()
                 self.expect("flip")
                 self.expect("(")
+                number = self.peek()
                 theta = self.parse_number()
                 self.expect(")")
-                return Flip(name, theta)
+                try:
+                    return Flip(name, theta)
+                except ValueError as exc:
+                    raise ParseError(str(exc), *_position(self.source, number.offset)) from None
             raise self.error("expected ':=' or '~' after identifier")
         raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
 

@@ -124,6 +124,15 @@ class TestVariableOrder:
             assert store.var_name(var) == f"f{k}"
             assert banks.weights.weight(var) == (flip.theta, 1 - flip.theta)
 
+    def test_equal_thetas_share_one_weight_pair(self):
+        # the parser builds a Fraction per decimal text; equal values
+        # still share one pair, so the count layout scales it once
+        program = parse("a ~ flip(0.5); b ~ flip(1/2); c ~ flip(0.50); d ~ flip(2/4)")
+        store, banks = allocate_banks(program)
+        pairs = {id(banks.weights.weight(var)) for var in banks.flips}
+        assert len(pairs) == 1
+        assert banks.weights.weight(banks.flips[0]) == (Fraction(1, 2), Fraction(1, 2))
+
 
 class TestFlipNumbering:
     def test_reused_flip_node_is_two_draws(self):

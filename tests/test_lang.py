@@ -78,10 +78,16 @@ class TestParse:
         assert parse("a ~ flip(0.125)").body.theta == Fraction(1, 8)
 
     def test_theta_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse("a ~ flip(3/2)")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse("a ~ flip(1.5)")
+
+    def test_theta_out_of_range_is_reported_at_its_number(self):
+        with pytest.raises(ParseError) as info:
+            parse("skip;\nx ~ flip(3/2)")
+        assert str(info.value) == "2:10: flip parameter 3/2 outside [0, 1]"
+        assert (info.value.line, info.value.column) == (2, 10)
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
