@@ -33,7 +33,9 @@ not pay for the weighted (flip) levels.
 Weights are exact rationals, and counts are exact.  ``wmc`` scales each
 variable's weight pair to ints by the lcm of its denominators and counts
 on Python ints, so a pass does no ``Fraction`` arithmetic and no float
-arithmetic; the product of the scales is divided out once, at the end.
+arithmetic; the product of the scales is divided out once, at the end,
+and a count without an event is kept as that ``Fraction``, so asking it
+again divides nothing.
 
 A store is a single-writer structure: calls on one store must be
 externally serialized, but distinct stores are fully independent.
@@ -42,9 +44,10 @@ The relational-product walk uses a per-call memo table;
 and the assignment by value, so a repeated restriction is one lookup.
 Weighted counting is owned by the store: the count layout of a weight
 function and universe (positions, scaled weights, weight classes, prefix
-products), the table of scaled node counts computed under them and the
-literal counts of each root and class the top-down pass has run on live
-in the operation cache, keyed by the two by value, so every caller that
+products), the table of scaled node counts computed under them, the
+exact count of each root counted without an event and the literal
+counts of each root and class the top-down pass has run on live in the
+operation cache, keyed by the two by value, so every caller that
 counts with equal weights over an equal universe shares one layout and
 its tables, and ``clear_op_cache`` frees them with the rest of the
 cache.  ``wmc`` alone
@@ -172,7 +175,9 @@ class _CountLayout:
     variable weighs exactly ``(1, 1)`` (every primed variable of a
     compiled program), False where it is weighted (every flip, ``(1/2,
     1/2)`` included).  ``table`` maps the nodes of the diagrams counted
-    whole to their scaled counts, and ``literals`` maps the roots of
+    whole to their scaled counts, ``exact`` maps each root that ``wmc``
+    counted without an event to the ``Fraction`` it returned, so a repeat
+    of that call is one lookup, and ``literals`` maps the roots of
     literal events to one slot per class, ``[weighted, unit]``, each None
     until a literal of that class is asked (see
     ``NodeStore._literal_counts``).
@@ -182,7 +187,9 @@ class _CountLayout:
     shared ``_UNIT_WEIGHTS``.
     """
 
-    __slots__ = ("position", "size", "wt", "wf", "prefix", "scale", "unit", "table", "literals")
+    __slots__ = (
+        "position", "size", "wt", "wf", "prefix", "scale", "unit", "table", "exact", "literals"
+    )
 
     def __init__(self, weights: WeightFn, universe: frozenset[int]):
         uni = sorted(universe)
@@ -209,6 +216,7 @@ class _CountLayout:
         self.wt, self.wf, factors, self.unit = columns
         self.prefix = list(accumulate(factors, mul, initial=1))
         self.table: dict[int, int] = {0: 0, 1: 1}
+        self.exact: dict[int, Fraction] = {}
         self.literals: dict[int, list[Optional[list[int]]]] = {}
 
 
@@ -320,8 +328,9 @@ class NodeStore:
         return len(self._var)
 
     def clear_op_cache(self):
-        """Drop every cached result, ``wmc``'s count layouts and tables
-        included; handles and the nodes behind them stay valid."""
+        """Drop every cached result, ``wmc``'s count layouts with their
+        tables and kept counts included; handles and the nodes behind
+        them stay valid."""
         self._cache.clear()
 
     # -- node construction ---------------------------------------------------
@@ -366,11 +375,19 @@ class NodeStore:
 
     def cube(self, literals: Mapping[int, bool]) -> Bdd:
         """Conjunction of literals, built bottom-up in one pass."""
-        acc = 1
-        for var in sorted(literals, reverse=True):
+        for var in literals:
             self._check_var(var)
-            acc = self._mk(var, 0, acc) if literals[var] else self._mk(var, acc, 0)
-        return self._wrap(acc)
+        return self._wrap(self._cube_chain(literals, sorted(literals)))
+
+    def _cube_chain(self, literals: Mapping[int, bool], order: Sequence[int]) -> int:
+        """Handle of the conjunction of ``literals``, whose variables
+        ``order`` lists sorted, built bottom-up from the deepest in one
+        pass; nothing is checked."""
+        mk = self._mk
+        acc = 1
+        for var in reversed(order):
+            acc = mk(var, 0, acc) if literals[var] else mk(var, acc, 0)
+        return acc
 
     def iff_cube(self, pairs: Mapping[int, int]) -> Bdd:
         """Conjunction of biconditionals ``a <=> b``.
@@ -679,7 +696,9 @@ class NodeStore:
         at their first count.  Every pass reads the table, and the table
         holds only diagrams that were counted whole:
 
-        - no event: the pass over ``a`` writes ``a``'s nodes into it;
+        - no event: the pass over ``a`` writes ``a``'s nodes into it, and
+          the layout keeps the ``Fraction`` returned, so a repeated call
+          on ``a`` is one lookup, with no pass and no normalisation;
         - a single literal (a node on two terminals) of a universe
           variable: the count is read from ``a``'s literal counts for
           the variable's weight class (``(1, 1)`` or weighted), which the
@@ -696,24 +715,27 @@ class NodeStore:
         """
         root = self._own(a)
         layout = self._count_layout(weights, universe)
-        memo = layout.table
-        if event is not None:
-            e = self._own(event)
-            hi = self._hi[e]
-            # a terminal's variable is in no universe
-            k = layout.position.get(self._var[e]) if hi <= 1 and self._lo[e] <= 1 else None
-            if k is not None:
-                unit = layout.unit[k]
-                slots = layout.literals.get(root)
-                if slots is None:
-                    slots = layout.literals[root] = [None, None]
-                counts = slots[unit]
-                if counts is None:
-                    counts = slots[unit] = self._literal_counts(root, layout, unit)
-                return Fraction(counts[k] if hi else counts[-1] - counts[k], layout.scale)
-            root = self._apply(_OP_AND, root, e)
-            memo = {}
-        return Fraction(self._count(root, layout, memo), layout.scale)
+        if event is None:
+            count = layout.exact.get(root)
+            if count is None:
+                count = Fraction(self._count(root, layout, layout.table), layout.scale)
+                layout.exact[root] = count
+            return count
+        e = self._own(event)
+        hi = self._hi[e]
+        # a terminal's variable is in no universe
+        k = layout.position.get(self._var[e]) if hi <= 1 and self._lo[e] <= 1 else None
+        if k is not None:
+            unit = layout.unit[k]
+            slots = layout.literals.get(root)
+            if slots is None:
+                slots = layout.literals[root] = [None, None]
+            counts = slots[unit]
+            if counts is None:
+                counts = slots[unit] = self._literal_counts(root, layout, unit)
+            return Fraction(counts[k] if hi else counts[-1] - counts[k], layout.scale)
+        # the conjunction's nodes stay out of the table
+        return Fraction(self._count(self._apply(_OP_AND, root, e), layout, {}), layout.scale)
 
     def _count(self, root: int, layout: _CountLayout, memo: dict[int, int]) -> int:
         """Scaled count of ``root`` under ``layout``, read from its table;
@@ -832,13 +854,20 @@ class NodeStore:
 
     def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:
         """The layout and count table of ``(weights, universe)``: kept in
-        the op cache, so a store without one builds it for every pass."""
+        the op cache, so a store without one builds it for every pass.
+        The universe is checked in one pass over its ids; only a bad one
+        is looked for id by id, to report it."""
         universe = frozenset(universe)
         key = (_OP_WMC, weights, universe)
         layout = self._cache.get(key)
         if layout is None:
-            for var in universe:
-                self._check_var(var)
+            if universe and not (
+                all(map(int.__instancecheck__, universe))
+                and 0 <= min(universe)
+                and max(universe) < len(self._names)
+            ):
+                for var in universe:
+                    self._check_var(var)
             layout = _CountLayout(weights, universe)
             self._cache[key] = layout
         return layout

@@ -36,8 +36,10 @@ the whole call).
 
 Answers are exact ``Fraction``s.  ``NodeStore.wmc`` counts on Python
 ints scaled by a product ``S`` of the weights' denominators and divides
-``S`` out once.  A caller that wants a decimal applies ``float()`` to
-the answer; there is no second arithmetic.
+``S`` out once.  A denominator of 1, which every observe-free program
+has, is not divided by: the answer is the numerator itself.  A caller
+that wants a decimal applies ``float()`` to the answer; there is no
+second arithmetic.
 
 Only the inputs ``phi`` reads are fixed (``CompiledProgram.reads``), and
 a program that reads none, such as one that writes every variable
@@ -49,8 +51,11 @@ queries on one program share the store's count table and literal
 counts for the program's weights and universe; ``NodeStore.wmc`` owns
 what they keep.  A denominator is one ``wmc`` call on ``phi|s``, and a
 numerator one call with the event beside it, so the table holds the
-cofactors' nodes only, a repeated denominator is one lookup, and every
-literal marginal after the first from one start state is a lookup too.
+cofactors' nodes only.  The store keeps each denominator's exact
+``Fraction``, so a repeated denominator (and ``accept_prob``) is one
+lookup with no pass and no normalisation, and every literal marginal
+after the first from one start state reads its scaled count from the
+kept literal counts and normalises only that numerator.
 The cofactors and tables, like the rest of the store, make a compiled
 program stateful: queries on one ``CompiledProgram`` must not run
 concurrently.
@@ -157,17 +162,21 @@ def _query(
 ) -> list[InferenceResult]:
     """``wmc(phi|s & e) / wmc(phi|s)`` for each event ``e``, from
     one conditioning and one denominator; no numerator is counted when
-    the denominator is 0.  ``query_ms`` runs from ``begin``, the
-    ``perf_counter`` reading at the query's entry, to the last answer."""
+    the denominator is 0, and none is divided when it is 1.
+    ``query_ms`` runs from ``begin``, the ``perf_counter`` reading at
+    the query's entry, to the last answer."""
     conditioned = _conditioned(compiled, from_state)
     denominator = _count(compiled, conditioned)
     if denominator == 0:
         answers = [(INFEASIBLE, Fraction(0))] * len(events)
     else:
+        # the denominator of every observe-free program: the ratio is the
+        # numerator, and no division runs
+        undivided = denominator == 1
         answers = []
         for event_bdd in events:
             numerator = _count(compiled, conditioned, event_bdd)
-            answers.append((numerator / denominator, numerator))
+            answers.append((numerator if undivided else numerator / denominator, numerator))
     stats = InferenceStats(query_ms=(time.perf_counter() - begin) * 1000.0)
     return [InferenceResult(value, numerator, denominator, stats) for value, numerator in answers]
 

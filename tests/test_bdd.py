@@ -705,6 +705,35 @@ class TestWmc:
         assert len(plain._cache) == 0
         assert plain._count_layout(weights, range(5)) is not plain._count_layout(weights, range(5))
 
+    def test_uncached_store_recounts_every_call(self, monkeypatch):
+        passes = []
+        count = NodeStore._count
+
+        def counted(store, root, layout, memo):
+            passes.append(root)
+            return count(store, root, layout, memo)
+
+        monkeypatch.setattr(NodeStore, "_count", counted)
+        weights = WeightFn({0: (Fraction(1, 3), Fraction(2, 3))})
+        for store, calls in ((fresh_store(3), 1), (fresh_store(3, op_cache=False), 3)):
+            a = store.var(0) | store.var(2)
+            counts = [store.wmc(a, weights, range(3)) for _ in range(3)]
+            assert counts == [Fraction(8, 3)] * 3
+            assert len(passes) == calls
+            del passes[:]
+
+    @pytest.mark.parametrize("bad", [4, 9, -1, "v1", 2.5, None])
+    def test_universe_outside_store(self, bad):
+        store = fresh_store(4)
+        a = store.var(0)
+        with pytest.raises(UnknownVar, match=repr(bad)):
+            store.wmc(a, WeightFn(), {0, 1, bad})
+        with pytest.raises(UnknownVar):
+            store.wmc(a, WeightFn(), [bad])
+        # nothing is kept for the rejected universe
+        assert store.wmc(a, WeightFn(), {0, 1}) == 2
+        assert len(store._cache) == 1
+
     @staticmethod
     def reachable(a):
         nodes, stack = set(), [a]

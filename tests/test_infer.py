@@ -386,6 +386,79 @@ class TestSharedCountTable:
         assert len(table) == c.store.node_count(conditioned) + 2
 
 
+class TestKeptDenominator:
+    """The store keeps the exact count of every root counted without an
+    event, so a repeated denominator is a lookup: no pass, no node."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        passes = []
+        count = NodeStore._count
+
+        def counted(store, root, layout, memo):
+            passes.append(root)
+            return count(store, root, layout, memo)
+
+        monkeypatch.setattr(NodeStore, "_count", counted)
+        return passes
+
+    @pytest.mark.parametrize(
+        "source, first, later",
+        [(gen_grid(4, "0.5", seed=1), "g3_3", "!g2_1"), (READS_INPUTS, "c", "!e")],
+        ids=["grid4", "observe"],
+    )
+    def test_repeated_denominator_makes_no_pass(self, monkeypatch, source, first, later):
+        c = compiled(source)
+        init = State.all_false(c.program.vars)
+        # the later query's event, built up front
+        compile_expr(parse_expr(later), c.banks.primed, c.store)
+        passes = self.count_passes(monkeypatch)
+        asked = event_prob(c, init, parse_expr(first))
+        assert passes
+        del passes[:]
+        before = len(c.store)
+        assert accept_prob(c, init) == asked.denominator
+        result = event_prob(c, init, parse_expr(later))
+        assert passes == []
+        assert len(c.store) == before
+        assert result.denominator == asked.denominator
+        assert (asked.denominator == 1) == (source != READS_INPUTS)
+        fresh = event_prob(compiled(source), init, parse_expr(later))
+        assert (result.value, result.numerator, result.denominator) == (
+            fresh.value,
+            fresh.numerator,
+            fresh.denominator,
+        )
+
+    def test_clear_op_cache_recounts_once(self, monkeypatch):
+        c = compiled(FOO_BAR2)
+        kept = accept_prob(c)
+        assert kept == Fraction(2, 3)
+        passes = self.count_passes(monkeypatch)
+        c.store.clear_op_cache()
+        recounted = accept_prob(c)
+        assert len(passes) == 1
+        assert recounted == kept and type(recounted) is Fraction
+        assert accept_prob(c) == kept
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "source", [gen_grid(4, "0.5", seed=1), gen_chain(20, seed=2), FIG_CHAIN],
+        ids=["grid4", "chain20", "fig-chain"],
+    )
+    def test_observe_free_value_is_the_numerator(self, source):
+        c = compiled(source)
+        init = State.all_false(c.program.vars)
+        last = c.program.vars[-1]
+        results = [event_prob(c, init, parse_expr(last)), event_prob(c, init, parse_expr(last))]
+        results.append(infer.marginals(c, init)[last])
+        for result in results:
+            assert result.denominator == 1
+            # the numerator itself: no division ran
+            assert result.value is result.numerator
+            assert type(result.value) is Fraction
+
+
 class TestConditionByRestriction:
     """Queries count on the cofactor ``phi|s`` over the primed and flip
     banks.  Its counts are those of the conjunction ``phi & <s>`` over
