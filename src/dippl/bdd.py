@@ -323,6 +323,18 @@ class NodeStore:
         if not isinstance(var, int) or not 0 <= var < len(self._names):
             raise UnknownVar(f"variable id {var!r} is not registered")
 
+    def _check_vars(self, ids: Collection[int]):
+        """``_check_var`` on every id of ``ids``, done in one pass (all
+        ints, the smallest >= 0, the largest registered); only a bad id
+        is looked for one by one, to report it."""
+        if ids and not (
+            all(map(int.__instancecheck__, ids))
+            and 0 <= min(ids)
+            and max(ids) < len(self._names)
+        ):
+            for var in ids:
+                self._check_var(var)
+
     def __len__(self) -> int:
         """Total allocated nodes, terminals included (monotone; no GC)."""
         return len(self._var)
@@ -375,19 +387,12 @@ class NodeStore:
 
     def cube(self, literals: Mapping[int, bool]) -> Bdd:
         """Conjunction of literals, built bottom-up in one pass."""
-        for var in literals:
-            self._check_var(var)
-        return self._wrap(self._cube_chain(literals, sorted(literals)))
-
-    def _cube_chain(self, literals: Mapping[int, bool], order: Sequence[int]) -> int:
-        """Handle of the conjunction of ``literals``, whose variables
-        ``order`` lists sorted, built bottom-up from the deepest in one
-        pass; nothing is checked."""
+        self._check_vars(literals.keys())
         mk = self._mk
         acc = 1
-        for var in reversed(order):
+        for var in sorted(literals, reverse=True):
             acc = mk(var, 0, acc) if literals[var] else mk(var, acc, 0)
-        return acc
+        return self._wrap(acc)
 
     def iff_cube(self, pairs: Mapping[int, int]) -> Bdd:
         """Conjunction of biconditionals ``a <=> b``.
@@ -854,20 +859,12 @@ class NodeStore:
 
     def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:
         """The layout and count table of ``(weights, universe)``: kept in
-        the op cache, so a store without one builds it for every pass.
-        The universe is checked in one pass over its ids; only a bad one
-        is looked for id by id, to report it."""
+        the op cache, so a store without one builds it for every pass."""
         universe = frozenset(universe)
         key = (_OP_WMC, weights, universe)
         layout = self._cache.get(key)
         if layout is None:
-            if universe and not (
-                all(map(int.__instancecheck__, universe))
-                and 0 <= min(universe)
-                and max(universe) < len(self._names)
-            ):
-                for var in universe:
-                    self._check_var(var)
+            self._check_vars(universe)
             layout = _CountLayout(weights, universe)
             self._cache[key] = layout
         return layout

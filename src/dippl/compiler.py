@@ -277,19 +277,11 @@ def gamma(banks: VarBanks, store: NodeStore, exclude: AbstractSet[str] = frozens
 
 
 def state_cube(state: State, positions: Mapping[str, int], store: NodeStore) -> Bdd:
-    """The conjunction of literals fixing ``state`` on one variable bank.
-    A name outside the bank raises UnknownVariable, and an id the store
-    has not registered UnknownVar.  The ids are checked as a range, the
-    smallest and the largest, so a bank's own ids are not checked one by
-    one on every call."""
+    """The conjunction of literals fixing ``state`` on one variable bank."""
     try:
-        literals = dict(zip(map(positions.__getitem__, state.vars), state.values))
+        literals = {positions[name]: value for name, value in zip(state.vars, state.values)}
     except KeyError as exc:
         raise UnknownVariable(str(exc.args[0])) from None
-    order = sorted(literals)
-    if order and 0 <= order[0] and order[-1] < store.num_vars:
-        return Bdd(store, store._cube_chain(literals, order))
-    # empty, or an id outside the store, which ``cube`` reports
     return store.cube(literals)
 
 

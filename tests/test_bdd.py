@@ -957,6 +957,16 @@ class TestQueries:
         assert not helpers.follow(cube, {0: True, 1: False, 2: True})
         assert store.node_count(cube) == 2
 
+    @pytest.mark.parametrize("bad", [3, 9, -1, "v1", 2.5, None])
+    def test_cube_unknown_var(self, bad):
+        store = fresh_store(3)
+        nodes = len(store)
+        with pytest.raises(UnknownVar, match=repr(bad)):
+            store.cube({0: True, 2: False, bad: True})
+        # the ids are checked before any node is built
+        assert len(store) == nodes
+        assert store.cube({}).is_true
+
     def test_evaluate(self):
         store = fresh_store(2)
         conj = store.apply("and", store.var(0), store.not_(store.var(1)))
