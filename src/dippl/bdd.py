@@ -17,10 +17,12 @@ instead of a renamed copy), and existential quantification, renaming and
 restriction (``restrict``: the cofactor on an assignment), which are
 runs of that one walk under its one order contract, are provided, plus
 ``wmc``: a single memoized bottom-up pass computing the weighted model
-count over an explicit variable universe.  A variable of the universe
-skipped along a path contributes its smoothing factor (weight-true +
-weight-false), and a universe variable weighing ``(0, 0)`` makes every
-count 0 without a pass.
+count over an explicit variable universe.  The pass is a loop, not a
+recursion: it counts the nodes the table lacks in ascending handle
+order, children first.  A variable of the universe skipped along a path
+contributes its smoothing factor (weight-true + weight-false), and a
+universe variable weighing ``(0, 0)`` makes every count 0 without a
+pass.
 ``wmc`` also counts a diagram conjoined with an event; when the event is
 a single literal, one top-down pass over the counted diagram gives the
 count with every literal of the literal's weight class at once (the
@@ -50,7 +52,9 @@ counts of each root and class the top-down pass has run on live in the
 operation cache, keyed by the two by value, so every caller that
 counts with equal weights over an equal universe shares one layout and
 its tables, and ``clear_op_cache`` frees them with the rest of the
-cache.  ``wmc`` alone
+cache.  The store also keeps the last weight function and universe
+asked with their layout, so a caller that passes the same two objects
+again gets the layout without a key to build or hash.  ``wmc`` alone
 decides what the table holds: a pass over a whole diagram writes its
 nodes, and a pass over a conjunction with an event never does.
 """
@@ -161,60 +165,61 @@ class _NoCache(dict):
         pass
 
 
+# ``NodeStore._last_layout`` before any layout is kept
+_NO_LAYOUT = (None, None, None)
+
+
 class _CountLayout:
     """What ``NodeStore.wmc`` needs to count under one weight function
     and universe.
 
     ``position`` maps each universe variable to its index in the sorted
-    universe; ``wt``/``wf`` are the scaled int weights by index and
-    ``scale`` the product of the scales.  ``prefix`` holds the prefix
-    products of the smoothing factors, so any interval product is one
-    division; its last entry is 0 exactly when a universe variable weighs
-    ``(0, 0)``, and then every count is 0 and ``NodeStore.wmc`` runs no
-    pass.  ``unit`` gives each position's weight class: True where the
-    variable weighs exactly ``(1, 1)`` (every primed variable of a
-    compiled program), False where it is weighted (every flip, ``(1/2,
-    1/2)`` included).  ``table`` maps the nodes of the diagrams counted
-    whole to their scaled counts, ``exact`` maps each root that ``wmc``
-    counted without an event to the ``Fraction`` it returned, so a repeat
-    of that call is one lookup, and ``literals`` maps the roots of
-    literal events to one slot per class, ``[weighted, unit]``, each None
-    until a literal of that class is asked (see
-    ``NodeStore._literal_counts``).
+    universe; ``wt``/``wf`` are the scaled int weights by index,
+    ``factor`` their sums (the smoothing factors) and ``scale`` the
+    product of the scales.  ``prefix`` holds the prefix products of the
+    smoothing factors, so any interval product is one division; its last
+    entry is 0 exactly when a universe variable weighs ``(0, 0)``, and
+    then every count is 0 and ``NodeStore.wmc`` runs no pass.  ``unit``
+    gives each position's weight class: True where the variable weighs
+    exactly ``(1, 1)`` (every primed variable of a compiled program),
+    False where it is weighted (every flip, ``(1/2, 1/2)`` included).
+    ``table`` maps the nodes of the diagrams counted whole to their
+    scaled counts, ``exact`` maps each root that ``wmc`` counted without
+    an event to the ``Fraction`` it returned, so a repeat of that call is
+    one lookup, and ``literals`` maps the roots of literal events to one
+    slot per class, ``[weighted, unit]``, each None until a literal of
+    that class is asked (see ``NodeStore._literal_counts``).
 
-    Each distinct weight pair is scaled once: a compiled program shares
-    one pair object per theta, and every unlisted variable weighs the
-    shared ``_UNIT_WEIGHTS``.
+    The layout is built in one pass over the weight function's entries:
+    every other universe variable weighs ``(1, 1)``, which scales by 1,
+    sums to 2 and is of the unit class, so its position keeps the
+    defaults.
     """
 
     __slots__ = (
-        "position", "size", "wt", "wf", "prefix", "scale", "unit", "table", "exact", "literals"
+        "position", "size", "wt", "wf", "factor", "prefix", "scale", "unit",
+        "table", "exact", "literals",
     )
 
     def __init__(self, weights: WeightFn, universe: frozenset[int]):
         uni = sorted(universe)
-        self.position = dict(zip(uni, range(len(uni))))
-        self.size = len(uni)
-        pairs = list(map(weights.weight, uni))
-        # the pairs live in ``weights`` (or are ``_UNIT_WEIGHTS``) while
-        # the layout is built, so their ids tell them apart
-        keys = list(map(id, pairs))
-        uses: dict[int, int] = {}
-        for key in keys:
-            uses[key] = uses.get(key, 0) + 1
-        # by pair: the scaled weights, their sum and the class, True for
-        # (1, 1) exactly, which scales by 1 to (1, 1)
-        scaled: dict[int, tuple[int, int, int, bool]] = {}
-        self.scale = 1
-        for key, (t, f) in dict(zip(keys, pairs)).items():
-            (t, td), (f, fd) = t.as_integer_ratio(), f.as_integer_ratio()
-            s = lcm(td, fd)
-            t, f = t * (s // td), f * (s // fd)
-            scaled[key] = (t, f, t + f, t == f == s == 1)
-            self.scale *= s ** uses[key]
-        columns = tuple(zip(*map(scaled.__getitem__, keys))) or ((), (), (), ())
-        self.wt, self.wf, factors, self.unit = columns
-        self.prefix = list(accumulate(factors, mul, initial=1))
+        size = self.size = len(uni)
+        position = self.position = dict(zip(uni, range(size)))
+        # every universe variable weighs (1, 1) but the weighted entries
+        wt, wf, factor, unit = [1] * size, [1] * size, [2] * size, [True] * size
+        scale = 1
+        for var, (t, f) in weights.items():
+            k = position.get(var)
+            if k is not None:
+                (t, td), (f, fd) = t.as_integer_ratio(), f.as_integer_ratio()
+                s = lcm(td, fd)
+                t, f = t * (s // td), f * (s // fd)
+                wt[k], wf[k], factor[k] = t, f, t + f
+                # (1, 1) exactly scales by 1 to (1, 1)
+                unit[k] = t == f == s == 1
+                scale *= s
+        self.wt, self.wf, self.factor, self.unit, self.scale = wt, wf, factor, unit, scale
+        self.prefix = list(accumulate(factor, mul, initial=1))
         self.table: dict[int, int] = {0: 0, 1: 1}
         self.exact: dict[int, Fraction] = {}
         self.literals: dict[int, list[Optional[list[int]]]] = {}
@@ -295,8 +300,10 @@ class NodeStore:
     def __init__(self, names: Iterable[str] = (), *, op_cache: bool = True):
         """A store whose variables are ``names``, in order (ids 0, 1, ...).
 
-        The recursive walks descend one frame per variable level, so the
-        recursion limit is raised to at least ``3000 + 8 * len(names)``.
+        The recursive walks, ``_ite``, ``_apply`` and ``_walk`` (behind
+        ``and_exists``, ``exists``, ``rename`` and ``restrict``), descend
+        one frame per variable level, so the recursion limit is raised to
+        at least ``3000 + 8 * len(names)``.  Counting does not recurse.
         """
         # handles 0/1 are the False/True terminals
         self._var: list[int] = [_TERMINAL_VAR, _TERMINAL_VAR]
@@ -304,6 +311,8 @@ class NodeStore:
         self._hi: list[int] = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict = {} if op_cache else _NoCache()
+        # ``(weights, universe, layout)`` of the last count layout asked
+        self._last_layout: tuple = _NO_LAYOUT
         self._names: list[str] = list(names)
         limit = 3000 + 8 * len(self._names)
         if sys.getrecursionlimit() < limit:
@@ -344,6 +353,7 @@ class NodeStore:
         tables and kept counts included; handles and the nodes behind
         them stay valid."""
         self._cache.clear()
+        self._last_layout = _NO_LAYOUT
 
     # -- node construction ---------------------------------------------------
 
@@ -612,19 +622,25 @@ class NodeStore:
     def support(self, a: Bdd) -> frozenset[int]:
         return frozenset(self._var[u] for u in self._nodes(self._own(a)))
 
-    def _nodes(self, root: int) -> set[int]:
-        """Internal nodes reachable from ``root``."""
-        var_of, lo_of, hi_of = self._var, self._lo, self._hi
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            if u <= 1 or u in seen:
-                continue
-            seen.add(u)
-            stack.append(lo_of[u])
-            stack.append(hi_of[u])
-        return seen
+    def _nodes(self, root: int, known: Collection[int] = ()) -> list[int]:
+        """Internal nodes reachable from ``root`` without passing through
+        a node of ``known``, each once, in discovery order: the store's
+        one reachable-node walk.  The list it grows is also its work list,
+        so it needs no stack."""
+        if root <= 1 or root in known:
+            return []
+        lo_of, hi_of = self._lo, self._hi
+        seen = {0, 1, root}
+        order = [root]
+        for u in order:
+            lo, hi = lo_of[u], hi_of[u]
+            if lo not in seen and lo not in known:
+                seen.add(lo)
+                order.append(lo)
+            if hi not in seen and hi not in known:
+                seen.add(hi)
+                order.append(hi)
+        return order
 
     def rename(self, mapping: Mapping[int, int], a: Bdd) -> Bdd:
         """Simultaneous variable substitution: the shifted ``and_exists``
@@ -744,30 +760,54 @@ class NodeStore:
 
     def _count(self, root: int, layout: _CountLayout, memo: dict[int, int]) -> int:
         """Scaled count of ``root`` under ``layout``, read from its table;
-        the nodes the pass counts go into ``memo``."""
-        position, size = layout.position, layout.size
-        wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
+        the nodes the pass counts go into ``memo``.
+
+        One loop, no recursion: ``_nodes`` lists the nodes of ``root``
+        the table lacks, and they are counted in ascending handle order,
+        children first, since a child is always older than its parent.
+        A node's count is its weights times its children's counts, each
+        times the smoothing factors of the positions its edge skips: one
+        factor when it skips one, a ratio of prefix products when it
+        skips more."""
+        position, size, table = layout.position, layout.size, layout.table
+        wt, wf, factor, prefix = layout.wt, layout.wf, layout.factor, layout.prefix
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
-
-        def edge(child: int, i: int) -> int:
-            if child == 0:
-                return 0
-            # the position lookup checks the universe: every node is
-            # looked up before it is counted or read from the table
-            j = size if child == 1 else position[var_of[child]]
-            count = memo.get(child)
-            if count is None:
-                count = table.get(child)
-            if count is None:
-                count = wt[j] * edge(hi_of[child], j + 1) + wf[j] * edge(lo_of[child], j + 1)
-                memo[child] = count
-            if j == i:
-                return count
-            return prefix[j] // prefix[i] * count
-
         if prefix[-1]:
+            todo = self._nodes(root, table)
+            if not todo:
+                # a terminal, or a root the table holds
+                return table[root] * prefix[size if root <= 1 else position[var_of[root]]]
+            todo.sort()
+            get = memo.get
             try:
-                return edge(root, 0)
+                for u in todo:
+                    # the position lookup checks the universe: every node
+                    # is looked up before it is counted
+                    j = position[var_of[u]]
+                    nxt = j + 1
+                    child = hi_of[u]
+                    if child:
+                        high = get(child)
+                        if high is None:
+                            high = table[child]
+                        k = size if child == 1 else position[var_of[child]]
+                        if k != nxt:
+                            high *= factor[nxt] if k == nxt + 1 else prefix[k] // prefix[nxt]
+                        count = wt[j] * high
+                    else:
+                        count = 0
+                    child = lo_of[u]
+                    if child:
+                        low = get(child)
+                        if low is None:
+                            low = table[child]
+                        k = size if child == 1 else position[var_of[child]]
+                        if k != nxt:
+                            low *= factor[nxt] if k == nxt + 1 else prefix[k] // prefix[nxt]
+                        count += wf[j] * low
+                    memo[u] = count
+                # the root, the newest of its nodes, was counted last
+                return count * prefix[j]
             except KeyError:
                 pass  # only the position lookup raises it: reported below
         missing = {var_of[u] for u in self._nodes(root)}.difference(position)
@@ -792,18 +832,19 @@ class NodeStore:
         order, parents first, since a child is always older than its
         parent.  A node's outside weight sums, over the paths from the
         root to it, the weights along the path; each child gets the node's
-        outside weight times the edge's weight and span, small factors
-        that every node passes on.  The products of an outside weight and
-        a child's count are the wide ones, and the pass takes them only
-        where the asked class needs them: a node of the class is credited
-        with the mass of its high edge (outside weight times the child's
-        count), and the positions of the class that an edge skips with the
-        edge's mass, through a difference array: a skipped position ``k``
-        gets ``mass * wt[k] // (wt[k] + wf[k])``, exact because every mass
-        that skips ``k`` carries its factor.
+        outside weight times the edge's weight and span (as in ``_count``,
+        one smoothing factor when the edge skips one position), small
+        factors that every node passes on.  The products of an outside
+        weight and a child's count are the wide ones, and the pass takes
+        them only where the asked class needs them: a node of the class is
+        credited with the mass of its high edge (outside weight times the
+        child's count), and the positions of the class that an edge skips
+        with the edge's mass, through a difference array: a skipped
+        position ``k`` gets ``mass * wt[k] // factor[k]``, exact because
+        every mass that skips ``k`` carries its factor.
         """
-        position, size = layout.position, layout.size
-        wt, wf, prefix, table = layout.wt, layout.wf, layout.prefix, layout.table
+        position, size, table = layout.position, layout.size, layout.table
+        wt, wf, factor, prefix = layout.wt, layout.wf, layout.factor, layout.prefix
         classes = layout.unit
         # ``before[k]``: positions of the asked class before ``k``
         before = list(accumulate(map(unit.__eq__, classes), initial=0))
@@ -827,7 +868,7 @@ class NodeStore:
                 push = weight * wt[j]
                 jc = size if hi == 1 else position[var_of[hi]]
                 if jc != nxt:
-                    push *= prefix[jc] // prefix[nxt]
+                    push *= factor[nxt] if jc == nxt + 1 else prefix[jc] // prefix[nxt]
                 credit = classes[j] == unit
                 skips = before[jc] != before[nxt]
                 if credit or skips:
@@ -843,7 +884,7 @@ class NodeStore:
                 push = weight * wf[j]
                 jc = size if lo == 1 else position[var_of[lo]]
                 if jc != nxt:
-                    push *= prefix[jc] // prefix[nxt]
+                    push *= factor[nxt] if jc == nxt + 1 else prefix[jc] // prefix[nxt]
                     if before[jc] != before[nxt]:
                         mass = push * table[lo]
                         skipped[nxt] += mass
@@ -854,12 +895,22 @@ class NodeStore:
         for k in range(size):
             running += skipped[k]
             if running and classes[k] == unit:
-                counts[k] += running * wt[k] // (wt[k] + wf[k])
+                counts[k] += running * wt[k] // factor[k]
         return counts
 
     def _count_layout(self, weights: WeightFn, universe: Iterable[int]) -> _CountLayout:
         """The layout and count table of ``(weights, universe)``: kept in
-        the op cache, so a store without one builds it for every pass."""
+        the op cache, so a store without one builds it for every pass.
+
+        The last pair asked and its layout are also kept, so asking the
+        same two objects again (a program's queries pass its one
+        ``WeightFn`` and universe ``frozenset``) returns the layout
+        without building or hashing a key."""
+        last_weights, last_universe, layout = self._last_layout
+        if weights is last_weights and universe is last_universe:
+            return layout
+        # the frozenset itself when ``universe`` is one, so only an
+        # immutable universe can match by identity
         universe = frozenset(universe)
         key = (_OP_WMC, weights, universe)
         layout = self._cache.get(key)
@@ -867,6 +918,9 @@ class NodeStore:
             self._check_vars(universe)
             layout = _CountLayout(weights, universe)
             self._cache[key] = layout
+        # an uncached store keeps nothing, this pair included
+        if key in self._cache:
+            self._last_layout = (weights, universe, layout)
         return layout
 
     # -- export ----------------------------------------------------------------

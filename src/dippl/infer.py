@@ -111,19 +111,39 @@ class Query:
             raise ValueError("transition queries need a target state")
 
 
-@dataclass(frozen=True)
 class InferenceStats:
-    query_ms: float
+    """How long a query took: ``query_ms``, its wall clock."""
+
+    __slots__ = ("query_ms",)
+
+    def __init__(self, query_ms: float):
+        self.query_ms = query_ms
+
+    def __repr__(self):
+        return f"InferenceStats(query_ms={self.query_ms!r})"
 
 
-@dataclass(frozen=True)
 class InferenceResult:
-    """A WMC ratio with its raw numerator/denominator for auditability."""
+    """A WMC ratio with its raw numerator/denominator for auditability.
 
-    value: Value
-    numerator: Fraction
-    denominator: Fraction
-    stats: InferenceStats
+    A plain slotted class rather than a dataclass: building one is part
+    of every answer's cost."""
+
+    __slots__ = ("value", "numerator", "denominator", "stats")
+
+    def __init__(
+        self, value: Value, numerator: Fraction, denominator: Fraction, stats: InferenceStats
+    ):
+        self.value = value
+        self.numerator = numerator
+        self.denominator = denominator
+        self.stats = stats
+
+    def __repr__(self):
+        return (
+            f"InferenceResult(value={self.value!r}, numerator={self.numerator!r}, "
+            f"denominator={self.denominator!r}, stats={self.stats!r})"
+        )
 
     @property
     def infeasible(self) -> bool:
@@ -167,12 +187,15 @@ def _query(
     the query's entry, to the last answer."""
     conditioned = _conditioned(compiled, from_state)
     denominator = _count(compiled, conditioned)
-    if denominator == 0:
+    # compared as ints: each ``Fraction.__eq__`` is a Python-level call
+    top, bottom = denominator.as_integer_ratio()
+    if not top:
         answers = [(INFEASIBLE, Fraction(0))] * len(events)
     else:
-        # the denominator of every observe-free program: the ratio is the
+        # a denominator of 1 (in lowest terms, the only one with ``top ==
+        # bottom``), as every observe-free program has: the ratio is the
         # numerator, and no division runs
-        undivided = denominator == 1
+        undivided = top == bottom
         answers = []
         for event_bdd in events:
             numerator = _count(compiled, conditioned, event_bdd)

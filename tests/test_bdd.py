@@ -734,12 +734,119 @@ class TestWmc:
         assert store.wmc(a, WeightFn(), {0, 1}) == 2
         assert len(store._cache) == 1
 
+    def test_count_loop_with_part_of_root_in_table(self):
+        # the counting loop against the Fraction reference, on roots part
+        # of whose nodes an earlier count put in the table; universes with
+        # gaps give edges that skip 0, 1 and 2 or more positions
+        rng = random.Random(61)
+        store = fresh_store(9)
+        pool = [0, 1, 2, Fraction(1, 3), Fraction(3, 7), Fraction(5, 2)]
+        seen = {"partly counted": 0, "zero level": 0, "terminal": 0}
+        spans = set()
+        for _ in range(25):
+            universe = sorted(rng.sample(range(9), rng.randint(3, 9)))
+            position = {var: k for k, var in enumerate(universe)}
+            weights = WeightFn(
+                {
+                    v: (0, 0) if rng.random() < 0.05 else (rng.choice(pool), rng.choice(pool))
+                    for v in universe
+                    if rng.random() < 0.7
+                }
+            )
+            table = store._count_layout(weights, universe).table
+            for _ in range(6):
+                support = rng.sample(universe, rng.randint(1, len(universe)))
+                root = helpers.random_bdd(rng, store, support, size=rng.randint(4, 16))
+                nodes = self.reachable(root)
+                # count a few sub-diagrams first
+                for u in rng.sample(sorted(nodes), len(nodes) // 3):
+                    sub = Bdd(store, u)
+                    assert store.wmc(sub, weights, universe) == helpers.reference_wmc(
+                        sub, weights, universe
+                    )
+                seen["partly counted"] += bool(nodes & set(table)) and not nodes <= set(table)
+                seen["zero level"] += any(w == (0, 0) for _, w in weights.items())
+                seen["terminal"] += root.is_terminal
+                for u in nodes:
+                    k = position[store._var[u]]
+                    for child in (store._lo[u], store._hi[u]):
+                        if child:
+                            end = len(universe) if child == 1 else position[store._var[child]]
+                            spans.add(min(end - k - 1, 2))
+                expected = helpers.reference_wmc(root, weights, universe)
+                assert store.wmc(root, weights, universe) == expected
+                assert expected == helpers.brute_force_wmc(root, weights, universe)
+            for root in (store.true, store.false):
+                assert store.wmc(root, weights, universe) == helpers.reference_wmc(
+                    root, weights, universe
+                )
+            assert all(type(v) is int for v in table.values())
+        assert all(seen.values()), seen
+        assert spans == {0, 1, 2}
+
+    def test_support_outside_universe_keeps_table_ints(self):
+        # the loop counts children first, so the nodes below the variable
+        # outside the universe are counted before the error; whatever the
+        # table keeps is a correct int count
+        store = fresh_store(4)
+        universe = [0, 2, 3]
+        weights = WeightFn({v: (Fraction(1, v + 2), Fraction(2, 3)) for v in range(4)})
+        below = store.var(2) | store.var(3)
+        a = store.var(0) & (store.var(1) ^ below)
+        table = store._count_layout(weights, universe).table
+        with pytest.raises(SupportOutsideUniverse, match=r"\[1\]"):
+            store.wmc(a, weights, universe, event=store.var(0) | store.var(3))
+        assert table == {0: 0, 1: 1}
+        with pytest.raises(SupportOutsideUniverse, match=r"\[1\]"):
+            store.wmc(a, weights, universe)
+        assert all(type(v) is int for v in table.values())
+        assert a.idx not in table and a.high.idx not in table
+        for u in set(table) - {0, 1}:
+            node = Bdd(store, u)
+            assert store.wmc(node, weights, universe) == helpers.reference_wmc(
+                node, weights, universe
+            )
+
+    def test_nodes_lists_each_node_once_and_stops_at_known(self):
+        rng = random.Random(67)
+        store = fresh_store(7)
+        for _ in range(40):
+            root = helpers.random_bdd(rng, store, list(range(7)), size=rng.randint(2, 20))
+            nodes = store._nodes(root.idx)
+            assert len(nodes) == len(set(nodes))
+            assert set(nodes) == self.reachable(root)
+            assert nodes[:1] == ([] if root.is_terminal else [root.idx])
+            known = set(rng.sample(nodes, len(nodes) // 2))
+            stopped = store._nodes(root.idx, known)
+            assert len(stopped) == len(set(stopped))
+            assert set(stopped) == self.reachable(root, known)
+            assert store._nodes(root.idx, {0, 1, root.idx}) == []
+
+    def test_last_layout_kept_by_identity(self):
+        store, plain = fresh_store(4), fresh_store(4, op_cache=False)
+        weights = WeightFn({1: (Fraction(1, 3), Fraction(2, 3))})
+        universe = frozenset(range(4))
+        layout = store._count_layout(weights, universe)
+        assert store._count_layout(weights, universe) is layout
+        assert store._last_layout == (weights, universe, layout)
+        # a mutable universe is never matched by identity
+        changing = [0, 1, 2, 3]
+        assert store._count_layout(weights, changing) is layout
+        changing.pop()
+        assert store._count_layout(weights, changing).size == 3
+        store.clear_op_cache()
+        assert store._last_layout == (None, None, None)
+        assert store._count_layout(weights, universe) is not layout
+        plain._count_layout(weights, universe)
+        assert plain._last_layout == (None, None, None)
+
     @staticmethod
-    def reachable(a):
+    def reachable(a, known=()):
+        """Handles of ``a``'s internal nodes, not passing through ``known``."""
         nodes, stack = set(), [a]
         while stack:
             node = stack.pop()
-            if not node.is_terminal and node.idx not in nodes:
+            if not node.is_terminal and node.idx not in nodes and node.idx not in known:
                 nodes.add(node.idx)
                 stack.extend([node.low, node.high])
         return nodes

@@ -104,6 +104,18 @@ class TestAcceptProb:
     def test_always_rejecting(self):
         assert accept_prob(compiled("observe(x && !x)")) == 0
 
+    def test_long_chain_counts_in_fresh_interpreter(self):
+        # counting does not recurse, so a chain too deep for a recursive
+        # count on Python 3.10, which recurses on the C stack, answers
+        # instead of crashing
+        code = (
+            "from dippl import accept_prob, compile_program, gen_chain, parse\n"
+            "print(accept_prob(compile_program(parse(gen_chain(12000, 1)))))\n"
+        )
+        result = helpers.run_fresh("-X", "faulthandler", "-c", code)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout == "1\n"
+
 
 class TestEventProb:
     def test_chain_complement(self):
@@ -122,6 +134,21 @@ class TestEventProb:
     def test_default_init_is_all_false(self):
         c = compiled("y := x")
         assert event_prob(c, None, parse_expr("y")).value == 0
+
+    def test_result_fields_and_repr(self):
+        result = event_prob(compiled(FOO_BAR2), None, parse_expr("x"))
+        assert (result.value, result.numerator, result.denominator) == (
+            Fraction(1, 2),
+            Fraction(1, 3),
+            Fraction(2, 3),
+        )
+        assert not result.infeasible
+        assert repr(result) == (
+            "InferenceResult(value=Fraction(1, 2), numerator=Fraction(1, 3), "
+            f"denominator=Fraction(2, 3), stats=InferenceStats(query_ms={result.stats.query_ms!r}))"
+        )
+        rejected = event_prob(compiled("observe(x && !x)"), None, parse_expr("x"))
+        assert rejected.infeasible and rejected.denominator == 0
 
 
 class TestQueryTiming:
