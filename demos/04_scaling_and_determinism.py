@@ -9,12 +9,10 @@ Three observations, at desk scale:
    compilation, because deterministic fragments collapse to shared
    sub-functions.
 
-Writes ``chain_sweep.csv`` next to this script; the same sweeps are
-available from the command line via ``dippl bench``.
+The same sweeps are available from the command line via ``dippl bench``,
+which writes them as CSV.
 """
 
-import csv
-import pathlib
 import time
 
 from dippl import State, compile_program, event_prob, output_marginal, parse, parse_expr
@@ -42,7 +40,7 @@ for n in (6, 8, 10, 12):
 
 print()
 print("chain diagrams grow affinely; querying length 150 is immediate:")
-rows = []
+print(f"  {'n':>3} {'nodes':>6} {'ms':>7} {'probability':>12}")
 for n in range(10, 151, 10):
     spec = BenchSpec("chain", n, seed=7)
     program = parse(spec.source())
@@ -50,16 +48,7 @@ for n in range(10, 151, 10):
     compiled = compile_program(program)
     value = event_prob(compiled, None, parse_expr(spec.query_var())).value
     elapsed_ms = (time.perf_counter() - begin) * 1000
-    rows.append({"n": n, "nodes": compiled.stats.node_count,
-                 "ms": round(elapsed_ms, 2), "probability": float(value)})
-print(f"  n=150: {rows[-1]['nodes']} nodes, {rows[-1]['ms']:.0f} ms total")
-
-out_path = pathlib.Path(__file__).with_name("chain_sweep.csv")
-with open(out_path, "w", newline="") as handle:
-    writer = csv.DictWriter(handle, fieldnames=["n", "nodes", "ms", "probability"])
-    writer.writeheader()
-    writer.writerows(rows)
-print(f"  wrote {len(rows)} rows to {out_path.name}")
+    print(f"  {n:>3} {compiled.stats.node_count:>6} {elapsed_ms:>7.2f} {float(value):>12.6f}")
 
 print()
 print("grid compilation vs fraction of flips made deterministic (k=4):")

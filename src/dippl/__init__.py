@@ -12,7 +12,6 @@ from .lang import (
     And,
     Assign,
     Const,
-    Diagnostic,
     Expr,
     FALSE,
     Flip,
@@ -31,7 +30,6 @@ from .lang import (
     parse,
     parse_expr,
     unparse,
-    validate,
 )
 from .oracle import (
     INFEASIBLE,

@@ -7,11 +7,11 @@ two functions over one store are equal exactly when their handles are
 equal.
 
 Boolean combinators (``apply``, ``not_``, ``ite``) run on two walks:
-the if-then-else walk ``_ite``, which gives negation as ``ite(a, 0, 1)``,
-``xor`` as ``ite(a, not b, b)`` and ``implies`` as ``ite(a, b, true)``
-(Brace, Rudell and Bryant, DAC 1990), and ``_apply``, which keeps the
-three symmetric operators the compiler and the quantifiers combine with:
-AND, OR and IFF.  The relational product ``and_exists`` (conjoin, then
+the if-then-else walk ``_ite``, which gives negation as ``ite(a, 0, 1)``
+and any other operator as one call (Brace, Rudell and Bryant, DAC 1990),
+and ``_apply``, which keeps the three symmetric operators the compiler
+and the quantifiers combine with: AND, OR and IFF.  The relational
+product ``and_exists`` (conjoin, then
 quantify, reading the second operand through an order-preserving shift
 instead of a renamed copy), and existential quantification, renaming and
 restriction (``restrict``: the cofactor on an assignment), which are
@@ -287,9 +287,6 @@ class Bdd:
     def __or__(self, other: "Bdd") -> "Bdd":
         return self.store.apply("or", self, other)
 
-    def __xor__(self, other: "Bdd") -> "Bdd":
-        return self.store.apply("xor", self, other)
-
     def __invert__(self) -> "Bdd":
         return self.store.not_(self)
 
@@ -480,20 +477,12 @@ class NodeStore:
     # -- Boolean combinators ---------------------------------------------------
 
     def apply(self, op: str, a: Bdd, b: Bdd) -> Bdd:
-        """Pointwise Boolean combination; op in and/or/xor/iff/implies.
-
-        ``and``, ``or`` and ``iff`` run ``_apply``; ``xor`` is
-        ``ite(a, not b, b)`` and ``implies`` is ``ite(a, b, true)``.
-        """
+        """Pointwise Boolean combination; op in and/or/iff.  Any other
+        operator is one ``ite`` call: xor is ``ite(a, not b, b)``."""
         code = _OP_CODES.get(op)
-        if code is None and op != "xor" and op != "implies":
+        if code is None:
             raise ValueError(f"unknown operator {op!r}")
-        x, y = self._own(a), self._own(b)
-        if op == "xor":
-            return self._wrap(self._ite(x, self._ite(y, 0, 1), y))
-        if op == "implies":
-            return self._wrap(self._ite(x, y, 1))
-        return self._wrap(self._apply(code, x, y))
+        return self._wrap(self._apply(code, self._own(a), self._own(b)))
 
     def not_(self, a: Bdd) -> Bdd:
         return self._wrap(self._ite(self._own(a), 0, 1))
@@ -682,13 +671,6 @@ class NodeStore:
         return self._wrap(result)
 
     # -- queries ----------------------------------------------------------------
-
-    def evaluate(self, a: Bdd, assignment: Mapping[int, bool]) -> bool:
-        """Follow one root-to-terminal path under a (total-enough) assignment."""
-        u = self._own(a)
-        while u > 1:
-            u = self._hi[u] if assignment[self._var[u]] else self._lo[u]
-        return u == 1
 
     def node_count(self, a: Bdd) -> int:
         """Distinct internal nodes reachable from ``a`` (terminals excluded)."""

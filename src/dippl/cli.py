@@ -35,7 +35,15 @@ from typing import Optional
 
 from . import generators
 from .compiler import compile_program
-from .infer import InferenceResult, OracleTooLarge, check_oracle_cap, event_prob, marginals
+from .infer import (
+    InferenceResult,
+    OracleTooLarge,
+    Query,
+    check_against_oracle,
+    check_oracle_cap,
+    event_prob,
+    marginals,
+)
 from .lang import ParseError, Program, UnknownVariable, parse, parse_expr
 from .oracle import INFEASIBLE, State, output_marginal
 
@@ -159,7 +167,11 @@ def cmd_oracle(args) -> int:
     query = parse_expr(args.query)
     init = _parse_init(args.init, program)
     begin = time.perf_counter()
-    value = output_marginal(program, init, query)
+    if args.check:  # query_ms covers the compile and the comparison too
+        check = check_against_oracle(program, Query(init_state=init, event=query))
+        value = check.oracle_value
+    else:
+        value = output_marginal(program, init, query)
     elapsed_ms = (time.perf_counter() - begin) * 1000.0
     report = {
         "program": args.file,
@@ -169,14 +181,13 @@ def cmd_oracle(args) -> int:
         "mode": "oracle",
     }
     if args.check:
-        compiled_value = event_prob(compile_program(program), init, query).value
-        # INFEASIBLE equals only itself
-        report["check"] = "equal" if compiled_value == value else "MISMATCH"
+        compiled_value = check.compiled_value
+        report["check"] = "equal" if check.equal else "MISMATCH"
         report["compiled_value"] = (
             None if compiled_value is INFEASIBLE else str(compiled_value)
         )
     _emit(report, args.json)
-    if args.check and report["check"] != "equal":
+    if args.check and not check.equal:
         return EXIT_INTERNAL
     return EXIT_INFEASIBLE if value is INFEASIBLE else EXIT_OK
 

@@ -192,8 +192,8 @@ def allocate_banks(program: Program) -> tuple[NodeStore, VarBanks]:
 
     universe = frozenset(primed.values()) | frozenset(flip_ids)
     # each theta is a Fraction in [0, 1], checked by ``Flip``; equal
-    # thetas share one pair, keyed by value, so the count layout scales
-    # each distinct theta once
+    # thetas share one pair, keyed by value, so each distinct theta pays
+    # for its ``1 - theta`` once
     pairs: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     entries: dict[int, tuple[Fraction, Fraction]] = {}
     for f, flip in zip(flip_ids, flips):

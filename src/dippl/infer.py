@@ -63,7 +63,7 @@ concurrently.
 ``check_against_oracle`` runs the same query through the enumerative
 reference interpreter and demands exact rational agreement (with bottom
 mapping to ``INFEASIBLE``); it is the executable form of the compiler's
-correctness theorem and backs the differential test suite.
+correctness theorem, and ``dippl oracle --check`` runs it.
 """
 
 from __future__ import annotations

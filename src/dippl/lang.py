@@ -1,4 +1,4 @@
-"""Syntax of the dippl language: AST, parser, pretty-printer, validation.
+"""Syntax of the dippl language: AST, parser and pretty-printer.
 
 dippl is a loop-free imperative language over Boolean variables with two
 probabilistic statements: ``x ~ flip(theta)`` draws a Bernoulli(theta)
@@ -264,26 +264,24 @@ class Program:
     order, one entry per occurrence, so a reused ``Flip`` node appears
     once for each of its draws.  ``inputs`` lists the variables no
     statement writes (by ``:=`` or ``~``), in the order of ``vars``.
-    ``from_stmt`` records them; a hand-built ``Program`` that leaves them
-    out compiles to the same answers in a different variable order.  The
-    repr leaves them out.
+    All three are derived from ``body``, so ``Program(body)`` is the one
+    constructor.  The repr leaves ``inputs`` out.
     """
 
     body: Stmt
-    vars: tuple[str, ...]
-    flips: tuple[Flip, ...]
-    inputs: tuple[str, ...] = field(default=(), repr=False)
+    vars: tuple[str, ...] = field(init=False)
+    flips: tuple[Flip, ...] = field(init=False)
+    inputs: tuple[str, ...] = field(init=False, repr=False)
 
     @property
     def flip_count(self) -> int:
         return len(self.flips)
 
-    @classmethod
-    def from_stmt(cls, body: Stmt) -> "Program":
+    def __post_init__(self):
         seen: dict[str, None] = {}
         written: set[str] = set()
         flips: list[Flip] = []
-        for node in body.walk():
+        for node in self.body.walk():
             kind = type(node)
             if kind is VarRef:
                 seen.setdefault(node.name)
@@ -294,8 +292,9 @@ class Program:
                 seen.setdefault(node.target)
                 written.add(node.target)
                 flips.append(node)
-        inputs = tuple([name for name in seen if name not in written])
-        return cls(body=body, vars=tuple(seen), flips=tuple(flips), inputs=inputs)
+        object.__setattr__(self, "vars", tuple(seen))
+        object.__setattr__(self, "flips", tuple(flips))
+        object.__setattr__(self, "inputs", tuple([name for name in seen if name not in written]))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +522,7 @@ def parse(source: str) -> Program:
     body, i = _stmt_at(source, texts, kinds)
     if kinds[i] != "eof":
         raise _expected(source, texts, i, "eof")
-    return Program.from_stmt(body)
+    return Program(body)
 
 
 def parse_expr(source: str) -> Expr:
@@ -615,66 +614,3 @@ def unparse(program: Program | Stmt) -> str:
     """
     body = program.body if isinstance(program, Program) else program
     return ";\n".join(_stmt_text(atom) for atom in seq_atoms(body))
-
-
-# ---------------------------------------------------------------------------
-# Static validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    var: str
-    message: str
-
-
-def validate(program: Program) -> list[Diagnostic]:
-    """Warn about variables that may be read before being assigned.
-
-    Such programs are legal (an unassigned variable takes its value from
-    the initial state), so every diagnostic has severity "warning".  A
-    variable is flagged when some execution path reaches a read of it
-    with no prior assign or flip to it.
-    """
-    flagged: dict[str, None] = {}
-    # variables assigned for sure on the path walked so far; only an
-    # ``if`` copies it, for its else branch
-    assigned: set[str] = set()
-
-    def check_expr(e: Expr):
-        for name in expr_vars(e):
-            if name not in assigned:
-                flagged.setdefault(name)
-
-    # a task is a statement to walk, or, for an ``if`` whose then branch
-    # is done, ("else", branch, assigned before the if) and then
-    # ("meet", assigned after the then branch)
-    stack: list = [program.body]
-    while stack:
-        task = stack.pop()
-        if isinstance(task, tuple):
-            if task[0] == "else":
-                _, branch, before = task
-                stack.append(("meet", assigned))
-                stack.append(branch)
-                assigned = before
-            else:
-                # assigned for sure afterwards = assigned on both branches
-                assigned &= task[1]
-        elif isinstance(task, (Assign, Flip)):
-            if isinstance(task, Assign):
-                check_expr(task.rhs)
-            assigned.add(task.target)
-        elif isinstance(task, Observe):
-            check_expr(task.cond)
-        elif isinstance(task, If):
-            check_expr(task.cond)
-            stack.append(("else", task.else_branch, set(assigned)))
-            stack.append(task.then_branch)
-        elif isinstance(task, Seq):
-            stack.append(task.second)
-            stack.append(task.first)
-    return [
-        Diagnostic("warning", name, f"variable {name!r} may be read before assignment")
-        for name in flagged
-    ]

@@ -118,6 +118,12 @@ def reference_wmc(bdd: Bdd, weights: WeightFn, universe) -> Fraction:
     return edge(bdd, 0)
 
 
+def xor(a: Bdd, b: Bdd) -> Bdd:
+    """``a`` xor ``b``, as ``ite(a, not b, b)``."""
+    store = a.store
+    return store.ite(a, store.not_(b), b)
+
+
 def random_bdd(rng: random.Random, store: NodeStore, variables, size: int = 12) -> Bdd:
     """A random function built from random combinator applications."""
     pool = [store.var(v) for v in variables] + [store.true, store.false]
@@ -125,8 +131,14 @@ def random_bdd(rng: random.Random, store: NodeStore, variables, size: int = 12) 
         op = rng.choice(("and", "or", "xor", "iff", "implies", "not"))
         if op == "not":
             pool.append(store.not_(rng.choice(pool)))
+            continue
+        a, b = rng.choice(pool), rng.choice(pool)
+        if op == "xor":
+            pool.append(xor(a, b))
+        elif op == "implies":
+            pool.append(store.ite(a, b, store.true))
         else:
-            pool.append(store.apply(op, rng.choice(pool), rng.choice(pool)))
+            pool.append(store.apply(op, a, b))
     return pool[-1]
 
 
@@ -288,7 +300,7 @@ def random_program(
     body, _ = _random_block(
         rng, names, max_flips, depth, observe_p, length or rng.randint(2, 4)
     )
-    return Program.from_stmt(body)
+    return Program(body)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def parse(source: str) -> Program:
     parser = _Parser(source)
     body = parser.parse_stmt()
     parser.expect("eof")
-    return Program.from_stmt(body)
+    return Program(body)
 
 
 def parse_expr(source: str) -> Expr:

@@ -93,8 +93,6 @@ class TestApply:
         x = store.var(0)
         assert store.apply("and", x, store.true) == x
         assert store.apply("iff", x, x).is_true
-        assert store.apply("xor", x, x).is_false
-        assert store.apply("implies", x, x).is_true
         assert store.apply("or", x, store.false) == x
 
     def test_unknown_operator(self):
@@ -109,9 +107,7 @@ class TestApply:
         ops = {
             "and": lambda p, q: p and q,
             "or": lambda p, q: p or q,
-            "xor": lambda p, q: p != q,
             "iff": lambda p, q: p == q,
-            "implies": lambda p, q: (not p) or q,
         }
         for _ in range(200):
             a = helpers.random_bdd(rng, store, variables, size=8)
@@ -476,7 +472,7 @@ class TestRestrict:
         for op_cache in (True, False):
             walks.clear()
             store = fresh_store(4, op_cache=op_cache)
-            a = (store.var(0) & store.var(2)) | (store.var(1) ^ store.var(3))
+            a = (store.var(0) & store.var(2)) | helpers.xor(store.var(1), store.var(3))
             first = store.restrict(a, [2, 0], [True, False])
             before = len(store)
             # equal sequences, not the same objects
@@ -792,7 +788,7 @@ class TestWmc:
         universe = [0, 2, 3]
         weights = WeightFn({v: (Fraction(1, v + 2), Fraction(2, 3)) for v in range(4)})
         below = store.var(2) | store.var(3)
-        a = store.var(0) & (store.var(1) ^ below)
+        a = store.var(0) & helpers.xor(store.var(1), below)
         table = store._count_layout(weights, universe).table
         with pytest.raises(SupportOutsideUniverse, match=r"\[1\]"):
             store.wmc(a, weights, universe, event=store.var(0) | store.var(3))
@@ -970,7 +966,8 @@ class TestLiteralCounts:
         for build in (lambda s: s.var(0) & s.var(2), lambda s: s.var(1) | s.var(3)):
             a, b = build(store), build(plain)
             assert store.wmc(a, weights, range(4)) == 0
-            assert store.wmc(a, weights, range(4), event=store.var(0) ^ store.var(3)) == 0
+            event = helpers.xor(store.var(0), store.var(3))
+            assert store.wmc(a, weights, range(4), event=event) == 0
             for var in range(4):
                 for positive in (True, False):
                     lit = self.literal(store, var, positive)
@@ -983,7 +980,7 @@ class TestLiteralCounts:
         # every count is read from its literal counts
         store, plain = fresh_store(5), fresh_store(5, op_cache=False)
         weights = WeightFn({v: (Fraction(1, v + 2), 1) for v in range(5)})
-        a, b = ((s.var(0) ^ s.var(2)) | (s.var(1) & s.var(4)) for s in (store, plain))
+        a, b = (helpers.xor(s.var(0), s.var(2)) | (s.var(1) & s.var(4)) for s in (store, plain))
         table = store._count_layout(weights, range(5)).table
         assert table == {0: 0, 1: 1}
         self.check(store, plain, a, b, weights, range(5))
@@ -1073,12 +1070,6 @@ class TestQueries:
         # the ids are checked before any node is built
         assert len(store) == nodes
         assert store.cube({}).is_true
-
-    def test_evaluate(self):
-        store = fresh_store(2)
-        conj = store.apply("and", store.var(0), store.not_(store.var(1)))
-        assert store.evaluate(conj, {0: True, 1: False})
-        assert not store.evaluate(conj, {0: True, 1: True})
 
 
 class TestDotExport:

@@ -268,7 +268,7 @@ class TestOracleCommand:
         assert report["infeasible"] is True and report["compiled_value"] is None
 
     def test_check_mismatch_is_internal(self, chain_file, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "output_marginal", lambda *args: Fraction(1, 2))
+        monkeypatch.setattr(oracle, "output_marginal", lambda *args: Fraction(1, 2))
         code, report = run_json(
             capsys, ["oracle", chain_file, "--query", "z", "--check", "--json"]
         )

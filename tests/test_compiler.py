@@ -24,7 +24,6 @@ from dippl.lang import (
     If,
     Program,
     Seq,
-    Skip,
     UnknownVariable,
     VarRef,
     parse,
@@ -126,7 +125,7 @@ class TestVariableOrder:
 
     def test_equal_thetas_share_one_weight_pair(self):
         # the parser builds a Fraction per decimal text; equal values
-        # still share one pair, so the count layout scales it once
+        # still share one pair, so ``1 - theta`` is computed once
         program = parse("a ~ flip(0.5); b ~ flip(1/2); c ~ flip(0.50); d ~ flip(2/4)")
         store, banks = allocate_banks(program)
         pairs = {id(banks.weights.weight(var)) for var in banks.flips}
@@ -137,7 +136,7 @@ class TestVariableOrder:
 class TestFlipNumbering:
     def test_reused_flip_node_is_two_draws(self):
         coin = Flip("x", Fraction(1, 2))
-        program = Program.from_stmt(Seq(coin, Seq(Assign("y", VarRef("x")), coin)))
+        program = Program(Seq(coin, Seq(Assign("y", VarRef("x")), coin)))
         assert program.flip_count == 2
         assert parse(unparse(program)) == program
         outcome = check_against_oracle(
@@ -220,7 +219,6 @@ class TestCompileExpr:
 
 class TestCompileStmtRules:
     def test_skip_relates_equal_states(self):
-        program = Program.from_stmt(Skip())
         program = parse("skip; x := x")  # one variable in scope
         store, banks = allocate_banks(program)
         phi = compile_stmt(parse("skip").body, banks, store)

@@ -12,7 +12,6 @@ from dippl.lang import (
     And,
     Assign,
     Const,
-    Diagnostic,
     FALSE,
     Flip,
     If,
@@ -28,7 +27,6 @@ from dippl.lang import (
     parse,
     parse_expr,
     unparse,
-    validate,
 )
 
 FIG_CHAIN = """
@@ -48,7 +46,8 @@ if y { y ~ flip(1/2) } else { y := false }
 class TestParse:
     def test_smallest_program(self):
         program = parse("skip")
-        assert program == Program(body=Skip(), vars=(), flips=())
+        assert program == Program(Skip())
+        assert program.vars == program.flips == program.inputs == ()
 
     def test_chain_program_shape(self):
         program = parse(FIG_CHAIN)
@@ -214,7 +213,7 @@ def _fold_seq(atoms):
 
 _stmts = st.builds(_fold_seq, st.lists(_atoms, min_size=1, max_size=4))
 
-_programs = st.builds(Program.from_stmt, _stmts)
+_programs = st.builds(Program, _stmts)
 
 
 class TestUnparse:
@@ -227,7 +226,7 @@ class TestUnparse:
 
     def test_right_nested_or_needs_parens(self):
         expr = Or(VarRef("a"), Or(VarRef("b"), VarRef("c")))
-        program = Program.from_stmt(Observe(expr))
+        program = Program(Observe(expr))
         assert parse(unparse(program)) == program
 
     @settings(max_examples=200)
@@ -443,43 +442,13 @@ def test_flip_validation_matches_conversion_and_range_check(theta):
         assert type(got) is Fraction
 
 
-# -- validation --------------------------------------------------------------
-
-
-class TestValidate:
-    def test_chain_is_clean(self):
-        assert validate(parse(FIG_CHAIN)) == []
-
-    def test_read_before_assignment(self):
-        diagnostics = validate(parse("y := x"))
-        assert [d.var for d in diagnostics] == ["x"]
-        assert all(d.severity == "warning" for d in diagnostics)
-
-    def test_observe_of_unassigned(self):
-        diagnostics = validate(parse(BAR2))
-        assert [d.var for d in diagnostics] == ["x"]
-
-    def test_branch_assignment_still_warns(self):
-        source = "if true { x := true } else { skip }; y := x"
-        assert [d.var for d in validate(parse(source))] == ["x"]
-
-    def test_both_branch_assignment_is_clean(self):
-        source = "if z { x := true } else { x := false }; y := x"
-        assert [d.var for d in validate(parse(source))] == ["z"]
-
-    def test_each_variable_reported_once(self):
-        diagnostics = validate(parse("y := x && x; observe(x)"))
-        assert [d.var for d in diagnostics] == ["x"]
-
-
 def test_long_chain_walks_in_fresh_interpreter():
     # sequences nest as deep as they are long; a fresh interpreter has the
     # default recursion limit
     code = (
         "from dippl.generators import gen_chain\n"
-        "from dippl.lang import Flip, parse, unparse, validate\n"
+        "from dippl.lang import Flip, parse, unparse\n"
         "program = parse(gen_chain(1200, 3))\n"
-        "assert validate(program) == []\n"
         "assert program.flips == tuple(n for n in program.body.walk() if type(n) is Flip)\n"
         "assert parse(unparse(program)) == program\n"
         "text = repr(program)\n"
